@@ -14,7 +14,7 @@ from .augment import (
 )
 from .errors import PadAugError
 from .features import FbankConfig, FeatureMatrix, cmn, fbank
-from .metrics import DetMetrics, Trial, cosine_score, det_metrics, eer, min_dcf
+from .metrics import DetMetrics, Trials, det_metrics, eer, min_dcf, score_trials
 from .model import ToyModel, ToyModelConfig, forward, train
 from .synth import build_corpus, make_speaker, synth_utterance
 from .testset import TestVariant, build_testset
@@ -34,13 +34,12 @@ __all__ = [
     "TestVariant",
     "ToyModel",
     "ToyModelConfig",
-    "Trial",
+    "Trials",
     "VadConfig",
     "Waveform",
     "build_corpus",
     "build_testset",
     "cmn",
-    "cosine_score",
     "det_metrics",
     "detect",
     "drop_silence",
@@ -52,6 +51,7 @@ __all__ = [
     "pad_aug_batch",
     "pad_aug_utterance",
     "read_wav",
+    "score_trials",
     "synth_utterance",
     "train",
     "write_wav",

@@ -26,8 +26,8 @@ from .errors import (
 from .seeding import Rng, make_rng, randint, spawn
 from .workers import worker_map
 
-# Noise variance used for digitally-silent inputs during batch processing,
-# where erroring out on one utterance would abort the whole batch.
+# Noise variance pad_aug_utterance uses for digitally-silent inputs, where
+# erroring out on one utterance would abort a whole training batch.
 SILENT_VARIANCE_FLOOR = 1e-10
 
 
@@ -120,7 +120,7 @@ def wgn_like(x_chunk: Waveform, snr_db: float, n_len: int, rng: Rng, variance_fl
 
     Power is the mean squared sample of x_chunk; the noise variance is
     P_x / 10**(snr_db / 10). A silent reference is an error unless a
-    variance_floor is supplied (the batch path passes one).
+    variance_floor is supplied (pad_aug_utterance passes one).
     """
     if n_len < 0:
         raise InvalidConfigError(f"negative noise length {n_len}")
@@ -175,9 +175,7 @@ def loop_pad(x: Waveform, min_len: int) -> Waveform:
     return Waveform(np.tile(x.samples, reps)[:min_len], x.sample_rate_hz)
 
 
-def pad_aug_utterance(
-    x: Waveform, cfg: PadAugConfig, rng: Rng, variance_floor: float | None = SILENT_VARIANCE_FLOOR
-) -> AugmentedUtterance:
+def pad_aug_utterance(x: Waveform, cfg: PadAugConfig, rng: Rng) -> AugmentedUtterance:
     """Run the full per-utterance pipeline: layout, chunk, noise, assemble.
 
     Inputs shorter than the sampled chunk length are loop-padded first,
@@ -185,7 +183,7 @@ def pad_aug_utterance(
     """
     layout = sample_layout(cfg, rng)
     chunk = random_chunk(loop_pad(x, layout.t_s), layout.t_s, rng)
-    noise = wgn_like(chunk, layout.snr_db, layout.l_pad, rng, variance_floor=variance_floor)
+    noise = wgn_like(chunk, layout.snr_db, layout.l_pad, rng, variance_floor=SILENT_VARIANCE_FLOOR)
     return AugmentedUtterance(waveform=assemble(chunk, layout, noise), layout=layout, chunk=chunk)
 
 
@@ -202,7 +200,7 @@ def pad_aug_batch(batch, cfg: PadAugConfig, rng: Rng):
         index, x = item
         try:
             return pad_aug_utterance(x, cfg, make_rng(seeds[index])).waveform
-        except (TooShortError, SilentReferenceError) as e:
+        except TooShortError as e:
             raise type(e)(f"utterance {index}: {e}") from e
 
     return worker_map(one, enumerate(batch))

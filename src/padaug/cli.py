@@ -22,14 +22,7 @@ from .errors import InvalidConfigError, PadAugError
 from .features import FbankConfig, FeatureMatrix, cmn, fbank, read_feature_dump, write_feature_dump
 from .manifest import UtteranceRecord, read_manifest, write_manifest
 from .metrics import det_metrics, format_report, read_scores, read_trials, score_trials, write_scores
-from .model import (
-    ToyModelConfig,
-    embed_utterance,
-    load_model,
-    load_training_set,
-    save_model,
-    train,
-)
+from .model import ToyModelConfig, embed_utterance, forward, load_model, load_training_set, save_model, train
 from .seeding import child_seed, make_rng
 from .synth import build_corpus
 from .testset import PLACEMENTS, TEST_SNR_DB, VARIANT_KINDS, TestVariant, build_testset
@@ -173,7 +166,7 @@ def _cmd_vad(args) -> int:
 
 def _cmd_train(args) -> int:
     records = read_manifest(args.manifest)
-    ts = load_training_set(records, read_wav)
+    ts = load_training_set(records)
     cfg = ToyModelConfig(
         n_speakers=len(ts.speakers),
         hidden_dim=args.hidden_dim,
@@ -233,15 +226,15 @@ def _cmd_embed(args) -> int:
 def _cmd_score(args) -> int:
     trials = read_trials(args.trials)
     store = {utt: mat.values[0] for utt, mat in read_feature_dump(args.embeddings).items()}
-    write_scores(score_trials(trials, store), args.out)
+    write_scores(trials, score_trials(trials, store), args.out)
     print(f"scored {len(trials)} trials to {args.out}")
     return 0
 
 
 def _cmd_eval(args) -> int:
     trials = read_trials(args.trials)
-    records = read_scores(args.scores, trials)
-    m = det_metrics(records, p_target=args.p_target, c_miss=args.c_miss, c_fa=args.c_fa)
+    scores = read_scores(args.scores, trials)
+    m = det_metrics(scores, trials.is_target, p_target=args.p_target, c_miss=args.c_miss, c_fa=args.c_fa)
     report = format_report([(args.name, m)])
     if args.out:
         Path(args.out).write_text(report, encoding="utf-8")
@@ -265,10 +258,11 @@ def _cmd_sweep(args) -> int:
     for k in range(9):
         variant = TestVariant(kind="ratio", k_seconds=k, placement=args.placement)
         new_records = build_testset(records, variant, work_dir / f"ratio{k}", args.seed, snr_db=snr)
-        waves = worker_map(lambda r: (r.utt_id, read_wav(r.wav_path)), new_records)
+        # Features once per padded utterance, shared by every model.
+        feats = worker_map(lambda r: (r.utt_id, cmn(fbank(read_wav(r.wav_path)))), new_records)
         for name, model in models:
-            store = dict(worker_map(lambda uw: (uw[0], embed_utterance(model, uw[1])), waves))
-            m = det_metrics(score_trials(trials, store), p_target=args.p_target)
+            store = {utt: forward(model, f) for utt, f in feats}
+            m = det_metrics(score_trials(trials, store), trials.is_target, p_target=args.p_target)
             lines.append(f"{name}\t{k}\t{k / 3.0:.4f}\t{m.eer:.6f}\t{m.min_dcf:.6f}")
             print(f"ratio {k}/3 {name}: eer {m.eer:.4f} min_dcf {m.min_dcf:.4f}", file=sys.stderr)
     text = "\n".join(lines) + "\n"

@@ -66,4 +66,4 @@ class MissingEmbeddingError(PadAugError, KeyError):
 
 
 class DatasetTooSmallError(PadAugError):
-    """Training set does not contain enough speakers."""
+    """Training set does not contain enough speakers or utterances."""

@@ -11,6 +11,9 @@ the two adjacent operating points (no convex-hull smoothing). minDCF is
 the exact minimum over the swept thresholds, normalized by
 min(c_miss*p_target, c_fa*(1-p_target)) so a system that always rejects
 (or always accepts) scores 1.0.
+
+A trial list is a `Trials` of three columns; scores are a float array in
+trial order.
 """
 
 from dataclasses import dataclass
@@ -29,16 +32,15 @@ from .errors import (
 
 
 @dataclass(frozen=True)
-class Trial:
-    enroll_id: str
-    test_id: str
-    is_target: bool
+class Trials:
+    """A trial list as three parallel columns, one entry per trial."""
 
+    enroll: tuple  # enrollment utt_id
+    test: tuple  # test utt_id
+    is_target: tuple  # bool, True for a same-speaker trial
 
-@dataclass(frozen=True)
-class ScoreRecord:
-    trial: Trial
-    score: float
+    def __len__(self) -> int:
+        return len(self.enroll)
 
 
 @dataclass(frozen=True)
@@ -49,21 +51,13 @@ class DetMetrics:
     dcf_threshold: float
 
 
-def cosine_score(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise DimMismatchError(f"embedding shapes differ: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ZeroNormError("cosine undefined for zero-norm embedding")
-    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
-
-
-def _split_scores(records):
-    targets = np.sort([r.score for r in records if r.trial.is_target])
-    nons = np.sort([r.score for r in records if not r.trial.is_target])
+def _split_scores(scores, is_target):
+    scores = np.asarray(scores, dtype=np.float64)
+    is_target = np.asarray(is_target, dtype=bool)
+    if scores.ndim != 1 or scores.shape != is_target.shape:
+        raise DimMismatchError(f"scores {scores.shape} and labels {is_target.shape} differ in shape")
+    targets = np.sort(scores[is_target])
+    nons = np.sort(scores[~is_target])
     if len(targets) == 0 or len(nons) == 0:
         raise DegenerateTrialSetError(f"need both trial kinds, got {len(targets)} target / {len(nons)} non-target")
     if not (np.all(np.isfinite(targets)) and np.all(np.isfinite(nons))):
@@ -82,9 +76,9 @@ def _thresholds(targets, nons):
     return np.concatenate([np.unique(all_scores), [all_scores.max() + 1.0]])
 
 
-def eer(records) -> tuple:
+def eer(scores, is_target) -> tuple:
     """(eer, threshold) at the interpolated FRR/FAR crossing."""
-    targets, nons = _split_scores(records)
+    targets, nons = _split_scores(scores, is_target)
     thr = _thresholds(targets, nons)
     frr, far = _rates(targets, nons, thr)
     diff = frr - far
@@ -98,11 +92,11 @@ def eer(records) -> tuple:
     return float(value), float(thr[i - 1] + u * (thr[i] - thr[i - 1]))
 
 
-def min_dcf(records, p_target: float = 0.01, c_miss: float = 1.0, c_fa: float = 1.0) -> tuple:
+def min_dcf(scores, is_target, p_target: float = 0.01, c_miss: float = 1.0, c_fa: float = 1.0) -> tuple:
     """(normalized minDCF, threshold) over the observed thresholds."""
     if not 0.0 < p_target < 1.0 or c_miss <= 0.0 or c_fa <= 0.0:
         raise InvalidConfigError("need 0 < p_target < 1 and positive costs")
-    targets, nons = _split_scores(records)
+    targets, nons = _split_scores(scores, is_target)
     thr = _thresholds(targets, nons)
     p_miss, p_fa = _rates(targets, nons, thr)
     dcf = c_miss * p_target * p_miss + c_fa * (1.0 - p_target) * p_fa
@@ -110,21 +104,42 @@ def min_dcf(records, p_target: float = 0.01, c_miss: float = 1.0, c_fa: float = 
     return float(dcf[i] / min(c_miss * p_target, c_fa * (1.0 - p_target))), float(thr[i])
 
 
-def det_metrics(records, p_target: float = 0.01, c_miss: float = 1.0, c_fa: float = 1.0) -> DetMetrics:
-    e, et = eer(records)
-    d, dt = min_dcf(records, p_target=p_target, c_miss=c_miss, c_fa=c_fa)
+def det_metrics(scores, is_target, p_target: float = 0.01, c_miss: float = 1.0, c_fa: float = 1.0) -> DetMetrics:
+    e, et = eer(scores, is_target)
+    d, dt = min_dcf(scores, is_target, p_target=p_target, c_miss=c_miss, c_fa=c_fa)
     return DetMetrics(eer=e, eer_threshold=et, min_dcf=d, dcf_threshold=dt)
 
 
-def score_trials(trials, store) -> list:
-    """Cosine-score each trial against an utt_id -> embedding mapping."""
-    out = []
-    for t in trials:
-        for utt in (t.enroll_id, t.test_id):
-            if utt not in store:
-                raise MissingEmbeddingError(f"no embedding for {utt!r}")
-        out.append(ScoreRecord(trial=t, score=cosine_score(store[t.enroll_id], store[t.test_id])))
-    return out
+def score_trials(trials: Trials, store) -> np.ndarray:
+    """Cosine score per trial against an utt_id -> embedding mapping.
+
+    Only the embeddings some trial uses are stacked and checked; the pairs
+    are gathered by index and scored a block of trials at a time, so the
+    gathered rows stay small whatever the length of the trial list.
+    """
+    n = len(trials)
+    block = 4096  # trials per gather
+    if n == 0:
+        return np.zeros(0)
+    ids = list(dict.fromkeys(trials.enroll + trials.test))
+    for utt in ids:
+        if utt not in store:
+            raise MissingEmbeddingError(f"no embedding for {utt!r}")
+    rows = [np.asarray(store[utt], dtype=np.float64) for utt in ids]
+    shapes = {r.shape for r in rows}
+    if len(shapes) > 1 or rows[0].ndim != 1:
+        raise DimMismatchError(f"embedding shapes differ: {sorted(shapes)}")
+    emb = np.stack(rows)
+    norms = np.linalg.norm(emb, axis=1)
+    if np.any(norms == 0.0):
+        raise ZeroNormError(f"cosine undefined for zero-norm embedding {ids[int(np.argmin(norms))]!r}")
+    row = {utt: i for i, utt in enumerate(ids)}
+    a, b = (np.fromiter(map(row.__getitem__, col), dtype=np.intp, count=n) for col in (trials.enroll, trials.test))
+    scores = np.empty(n)
+    for lo in range(0, n, block):
+        ia, ib = a[lo : lo + block], b[lo : lo + block]
+        scores[lo : lo + block] = np.einsum("ij,ij->i", emb[ia], emb[ib]) / (norms[ia] * norms[ib])
+    return np.clip(scores, -1.0, 1.0, out=scores)
 
 
 # ---------------------------------------------------------------------------
@@ -133,16 +148,16 @@ def score_trials(trials, store) -> list:
 # Report: TSV "testset eer min_dcf eer_threshold dcf_threshold".
 
 
-def write_trials(trials, path) -> None:
+def write_trials(trials: Trials, path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as f:
-        for t in trials:
-            f.write(f"{int(t.is_target)} {t.enroll_id} {t.test_id}\n")
+        for enroll, test, target in zip(trials.enroll, trials.test, trials.is_target):
+            f.write(f"{int(target)} {enroll} {test}\n")
 
 
-def read_trials(path):
-    out = []
+def read_trials(path) -> Trials:
+    enroll, test, is_target = [], [], []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             parts = line.split()
@@ -150,23 +165,25 @@ def read_trials(path):
                 continue
             if len(parts) != 3:
                 raise InvalidLabelError(f"{path}:{lineno}: expected 'label enroll test'")
-            label, enroll, test = parts
-            if label not in ("0", "1"):
-                raise InvalidLabelError(f"{path}:{lineno}: label must be 0 or 1, got {label!r}")
-            out.append(Trial(enroll_id=enroll, test_id=test, is_target=label == "1"))
-    return out
+            if parts[0] not in ("0", "1"):
+                raise InvalidLabelError(f"{path}:{lineno}: label must be 0 or 1, got {parts[0]!r}")
+            is_target.append(parts[0] == "1")
+            enroll.append(parts[1])
+            test.append(parts[2])
+    return Trials(tuple(enroll), tuple(test), tuple(is_target))
 
 
-def write_scores(records, path) -> None:
+def write_scores(trials: Trials, scores, path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as f:
-        for r in records:
-            f.write(f"{r.trial.enroll_id} {r.trial.test_id} {r.score:.6f}\n")
+        for enroll, test, score in zip(trials.enroll, trials.test, np.asarray(scores, dtype=np.float64).tolist()):
+            f.write(f"{enroll} {test} {score:.6f}\n")
 
 
-def read_scores(path, trials):
-    """Join a score file against its trial list by (enroll, test) pair."""
+def read_scores(path, trials: Trials) -> np.ndarray:
+    """Join a score file against its trial list by (enroll, test) pair;
+    returns the scores in trial order."""
     table = {}
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -176,12 +193,11 @@ def read_scores(path, trials):
             if len(parts) != 3:
                 raise InvalidLabelError(f"{path}:{lineno}: expected 'enroll test score'")
             table[(parts[0], parts[1])] = float(parts[2])
-    out = []
-    for t in trials:
-        key = (t.enroll_id, t.test_id)
+    out = np.empty(len(trials))
+    for i, key in enumerate(zip(trials.enroll, trials.test)):
         if key not in table:
             raise MissingEmbeddingError(f"no score for trial {key}")
-        out.append(ScoreRecord(trial=t, score=table[key]))
+        out[i] = table[key]
     return out
 
 

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .audio_io import read_wav
 from .augment import PadAugConfig, pad_aug_utterance
 from .errors import (
     CorruptHeaderError,
@@ -26,7 +27,7 @@ from .errors import (
     InvalidLabelError,
     TooFewFramesError,
 )
-from .features import FbankConfig, FeatureMatrix, chunk_frames, cmn, fbank
+from .features import FeatureMatrix, chunk_frames, cmn, fbank
 from .seeding import child_seed, make_rng, spawn
 from .workers import worker_map
 
@@ -123,10 +124,7 @@ class _Cache:
     f: np.ndarray
     h_pre: np.ndarray
     h: np.ndarray
-    mu: np.ndarray
-    var: np.ndarray
-    sd: np.ndarray
-    pooled: np.ndarray
+    pooled: np.ndarray  # [mean, sd] from tsp_pool
     z: np.ndarray
     z_norm: float
     emb: np.ndarray
@@ -136,18 +134,13 @@ def _forward(m: ToyModel, f: FeatureMatrix) -> _Cache:
     x = f.values
     if x.shape[1] != m.input_dim:
         raise DimMismatchError(f"features have {x.shape[1]} dims, model expects {m.input_dim}")
-    if x.shape[0] < 2:
-        raise TooFewFramesError(f"need >= 2 frames, got {x.shape[0]}")
     h_pre = x @ m.w1.T + m.b1
     h = np.maximum(h_pre, 0.0)
-    mu = h.mean(axis=0)
-    var = np.maximum(h.var(axis=0), VAR_FLOOR)
-    sd = np.sqrt(var)
-    pooled = np.concatenate([mu, sd])
+    pooled = tsp_pool(h)
     z = m.w2 @ pooled + m.b2
     z_norm = float(np.linalg.norm(z))
     emb = z / z_norm if z_norm > 0.0 else np.zeros_like(z)
-    return _Cache(f=x, h_pre=h_pre, h=h, mu=mu, var=var, sd=sd, pooled=pooled, z=z, z_norm=z_norm, emb=emb)
+    return _Cache(f=x, h_pre=h_pre, h=h, pooled=pooled, z=z, z_norm=z_norm, emb=emb)
 
 
 def forward(m: ToyModel, f: FeatureMatrix) -> np.ndarray:
@@ -215,12 +208,12 @@ def loss_and_grads(m: ToyModel, f: FeatureMatrix, label: int, margin: float, s: 
 
     hid = m.hidden_dim
     t = c.h.shape[0]
-    dmu = dpooled[:hid]
-    dsd = dpooled[hid:]
+    mu, sd = c.pooled[:hid], c.pooled[hid:]
+    dmu, dsd = dpooled[:hid], dpooled[hid:]
     # sd = sqrt(var); flat where the floor is active.
-    dvar = np.where(c.var > VAR_FLOOR, dsd / (2.0 * c.sd), 0.0)
+    dvar = np.where(sd > np.sqrt(VAR_FLOOR), dsd / (2.0 * sd), 0.0)
     # var as a function of h has derivative 2(h - mu)/t; the mu path adds dmu/t.
-    dh = dmu / t + (2.0 / t) * dvar * (c.h - c.mu)
+    dh = dmu / t + (2.0 / t) * dvar * (c.h - mu)
     dh_pre = dh * (c.h_pre > 0.0)
     grads["w1"] = dh_pre.T @ c.f
     grads["b1"] = dh_pre.sum(axis=0)
@@ -256,19 +249,15 @@ class TrainingSet:
     speakers: list  # index -> speaker_id
 
 
-def load_training_set(records, reader) -> TrainingSet:
-    """Load waveforms into memory and map speaker ids to label indices.
-
-    reader is usually audio_io.read_wav; injected so tests can feed
-    synthetic waveforms without touching disk.
-    """
+def load_training_set(records) -> TrainingSet:
+    """Load waveforms into memory and map speaker ids to label indices."""
     speakers = sorted({r.speaker_id for r in records})
     if len(speakers) < 2:
         raise DatasetTooSmallError(f"need >= 2 speakers, got {len(speakers)}")
     index = {s: i for i, s in enumerate(speakers)}
     utt_ids = [r.utt_id for r in records]
     labels = np.array([index[r.speaker_id] for r in records], dtype=np.int64)
-    waveforms = worker_map(lambda r: reader(r.wav_path), records)
+    waveforms = worker_map(lambda r: read_wav(r.wav_path), records)
     return TrainingSet(utt_ids=utt_ids, labels=labels, waveforms=waveforms, speakers=speakers)
 
 
@@ -276,8 +265,6 @@ def load_training_set(records, reader) -> TrainingSet:
 class TrainResult:
     model: ToyModel
     log: list  # (step, loss, lr, margin) per step
-    config: ToyModelConfig
-    augment: str
 
 
 def train(
@@ -285,7 +272,6 @@ def train(
     ts: TrainingSet,
     augment: str = "none",
     pad_cfg: PadAugConfig | None = None,
-    fbank_cfg: FbankConfig = FbankConfig(),
 ) -> TrainResult:
     """SGD over shuffled mini-batches for cfg.total_steps steps.
 
@@ -298,6 +284,8 @@ def train(
         raise InvalidConfigError(f"augment must be one of {AUGMENT_MODES}, got {augment!r}")
     if len(ts.speakers) < 2:
         raise DatasetTooSmallError("need >= 2 speakers")
+    if len(ts.utt_ids) < cfg.batch_size:
+        raise DatasetTooSmallError(f"need >= batch_size={cfg.batch_size} utterances, got {len(ts.utt_ids)}")
     if augment != "none" and pad_cfg is None:
         sr = ts.waveforms[0].sample_rate_hz
         pad_cfg = PadAugConfig(t_min=sr, t_max=3 * sr, use_mid=(augment == "hmt"))
@@ -313,10 +301,10 @@ def train(
             rng = make_rng(sub_seed)
             if augment == "none":
                 if idx not in feature_cache:
-                    feature_cache[idx] = fbank(ts.waveforms[idx], fbank_cfg)
+                    feature_cache[idx] = fbank(ts.waveforms[idx])
                 feats = feature_cache[idx]
             else:
-                feats = fbank(pad_aug_utterance(ts.waveforms[idx], pad_cfg, rng).waveform, fbank_cfg)
+                feats = fbank(pad_aug_utterance(ts.waveforms[idx], pad_cfg, rng).waveform)
             return cmn(chunk_frames(feats, cfg.chunk_len, rng))
 
         return worker_map(one, zip(indices, seeds))
@@ -343,12 +331,12 @@ def train(
         for k, p in model.params().items():
             p -= lr * inv * grads[k]
         log.append((step, total_loss * inv, lr, margin))
-    return TrainResult(model=model, log=log, config=cfg, augment=augment)
+    return TrainResult(model=model, log=log)
 
 
-def embed_utterance(m: ToyModel, w, fbank_cfg: FbankConfig = FbankConfig()) -> np.ndarray:
+def embed_utterance(m: ToyModel, w) -> np.ndarray:
     """Evaluation-time embedding: whole-utterance features, CMN, forward."""
-    return forward(m, cmn(fbank(w, fbank_cfg)))
+    return forward(m, cmn(fbank(w)))
 
 
 # ---------------------------------------------------------------------------

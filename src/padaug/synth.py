@@ -19,7 +19,7 @@ from scipy.signal import lfilter
 from .audio_io import Waveform, write_wav
 from .errors import DatasetTooSmallError, InvalidConfigError
 from .manifest import UtteranceRecord, write_manifest
-from .metrics import Trial, write_trials
+from .metrics import Trials, write_trials
 from .seeding import Rng, child_seed, make_rng
 from .workers import worker_map
 
@@ -113,12 +113,13 @@ def make_trials(records, rng: Rng):
     by_speaker: dict = {}
     for r in records:
         by_speaker.setdefault(r.speaker_id, []).append(r.utt_id)
-    trials = []
+    enroll, test = [], []
     for utts in by_speaker.values():
         for i in range(len(utts)):
             for j in range(i + 1, len(utts)):
-                trials.append(Trial(enroll_id=utts[i], test_id=utts[j], is_target=True))
-    n_target = len(trials)
+                enroll.append(utts[i])
+                test.append(utts[j])
+    n_target = len(enroll)
     if n_target == 0:
         raise DatasetTooSmallError("no same-speaker pairs; need >= 2 utterances for some speaker")
     ids = [r.utt_id for r in records]
@@ -129,8 +130,9 @@ def make_trials(records, rng: Rng):
         if speaker_of[a] == speaker_of[b] or (a, b) in seen:
             continue
         seen.add((a, b))
-        trials.append(Trial(enroll_id=a, test_id=b, is_target=False))
-    return trials
+        enroll.append(a)
+        test.append(b)
+    return Trials(tuple(enroll), tuple(test), (True,) * n_target + (False,) * n_target)
 
 
 def build_corpus(n_speakers: int, n_utts_per_speaker: int, duration_s: float, out_dir, seed: int):

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from padaug.audio_io import Waveform, read_wav
+from padaug.audio_io import Waveform
 from padaug.augment import PadAugConfig, pad_aug_utterance
 from padaug.features import FbankConfig, FeatureMatrix, cmn, fbank
 from padaug.metrics import det_metrics, eer, min_dcf, score_trials
@@ -100,14 +100,14 @@ def test_metric_oracle_equivalence():
         nons = np.round(rng.standard_normal(n_n) - 0.4, decimals)
         p = [0.01, 0.05, 0.5][i % 3]
         recs = mk(targets, nons)
-        e, _ = eer(recs)
-        d, _ = min_dcf(recs, p_target=p)
+        e, _ = eer(*recs)
+        d, _ = min_dcf(*recs, p_target=p)
         oracle_e, oracle_d = brute_force(list(targets), list(nons), p_target=p)
         assert d == oracle_d
         assert abs(e - oracle_e) <= 1e-12
     worked = mk([0.8, 0.4], [0.6, 0.2])
-    assert eer(worked)[0] == 0.5
-    assert min_dcf(worked)[0] == 0.5
+    assert eer(*worked)[0] == 0.5
+    assert min_dcf(*worked)[0] == 0.5
 
 
 def test_feature_contracts():
@@ -148,7 +148,7 @@ def experiment(tmp_path_factory):
     t0 = time.monotonic()
     root = tmp_path_factory.mktemp("exp")
     records, trials = build_corpus(20, 50, 4.0, root, seed=SEED)
-    ts = load_training_set(records, read_wav)
+    ts = load_training_set(records)
     cfg = ToyModelConfig(n_speakers=20, hidden_dim=64, embed_dim=32,
                          warmup_steps=60, total_steps=800, batch_size=32, seed=SEED)
     models = {"baseline": train(cfg, ts).model, "padaug": train(cfg, ts, augment="ht").model}
@@ -167,7 +167,7 @@ def experiment(tmp_path_factory):
             for name, model in models.items():
                 stores[name][utt] = forward(model, feats)
         for name in models:
-            eers[name, k] = det_metrics(score_trials(trials, stores[name])).eer
+            eers[name, k] = det_metrics(score_trials(trials, stores[name]), trials.is_target).eer
         t_eval[k] = time.monotonic() - tk
     return {"eers": eers, "t_train": t_train, "t_eval": t_eval,
             "waves": waves, "models": models}

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+import padaug.cli
+import padaug.features
+import padaug.model
 from padaug.audio_io import Waveform, read_wav, write_wav
 from padaug.cli import main
 from padaug.features import read_feature_dump
@@ -158,23 +161,36 @@ def test_vad_cmd(tmp_path):
     assert set(masks[0].split("\t")[1]) <= {"0", "1"}
 
 
-def test_sweep_cmd(tmp_path, capsys):
+def sweep_inputs(tmp_path):
+    """A 2 x 2 corpus and two untrained models: argv for `padaug sweep` minus --out."""
     d = tmp_path / "corpus"
     assert main(["synth", "--out", str(d), "--n-speakers", "2", "--n-utts", "2",
                  "--duration", "1.0", "--seed", "8"]) == 0
-    cfg = ToyModelConfig(n_speakers=2, hidden_dim=8, embed_dim=4,
-                         warmup_steps=1, total_steps=10, seed=0)
-    save_model(init_model(cfg), tmp_path / "a.bin")
-    save_model(init_model(ToyModelConfig(n_speakers=2, hidden_dim=8, embed_dim=4,
-                                         warmup_steps=1, total_steps=10, seed=1)),
-               tmp_path / "b.bin")
+    for name, seed in (("a", 0), ("b", 1)):
+        cfg = ToyModelConfig(n_speakers=2, hidden_dim=8, embed_dim=4,
+                             warmup_steps=1, total_steps=10, seed=seed)
+        save_model(init_model(cfg), tmp_path / f"{name}.bin")
+    return ["sweep", "--manifest", str(d / "manifest.tsv"),
+            "--trials", str(d / "trials.txt"),
+            "--model", f"sysA={tmp_path / 'a.bin'}",
+            "--model", f"sysB={tmp_path / 'b.bin'}",
+            "--seed", "9"]
+
+
+def test_sweep_cmd(tmp_path, capsys, monkeypatch):
+    argv = sweep_inputs(tmp_path)
+    calls = []
+
+    def counting_fbank(*args, **kwargs):
+        calls.append(1)
+        return padaug.features.fbank(*args, **kwargs)
+
+    for mod in (padaug.cli, padaug.model):
+        monkeypatch.setattr(mod, "fbank", counting_fbank)
     out = tmp_path / "sweep.tsv"
-    rc = main(["sweep", "--manifest", str(d / "manifest.tsv"),
-               "--trials", str(d / "trials.txt"),
-               "--model", f"sysA={tmp_path / 'a.bin'}",
-               "--model", f"sysB={tmp_path / 'b.bin'}",
-               "--out", str(out), "--seed", "9"])
+    rc = main(argv + ["--out", str(out)])
     assert rc == 0
+    assert len(calls) == 9 * 4  # once per padded utterance, not once per model
     lines = out.read_text().splitlines()
     assert lines[0] == "system\tk_seconds\tratio\teer\tmin_dcf"
     assert len(lines) == 1 + 18
@@ -187,6 +203,18 @@ def test_sweep_cmd(tmp_path, capsys):
         assert 0.0 <= float(eer_s) <= 1.0
         assert 0.0 <= float(dcf_s) <= 1.0
     assert (tmp_path / "sweep.tsv.work" / "ratio8").is_dir()
+
+
+def test_sweep_identical_at_any_thread_count(tmp_path, monkeypatch):
+    argv = sweep_inputs(tmp_path)
+    outputs = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("PADAUG_THREADS", threads)
+        out = tmp_path / f"t{threads}"
+        assert main(argv + ["--out", str(out / "sweep.tsv")]) == 0
+        outputs[threads] = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+    assert len(outputs["1"]) == 1 + 9 * 5  # the table, plus 4 WAVs and a manifest per k
+    assert outputs["1"] == outputs["2"]
 
 
 def test_config_file_precedence(tmp_path):
@@ -233,3 +261,7 @@ def test_exit_codes(tmp_path, corpus):
                "--trials", str(corpus / "trials.txt"), "--model", "nopath",
                "--out", str(tmp_path / "s.tsv"), "--seed", "1"])
     assert rc == 1  # --model wants NAME=PATH
+    rc = main(["train", "--manifest", str(corpus / "manifest.tsv"), "--out", str(tmp_path / "m.bin"),
+               "--steps", "2", "--warmup-steps", "1", "--batch-size", "8", "--seed", "1"])
+    assert rc == 1  # 6 utterances, fewer than one batch
+    assert not (tmp_path / "m.bin").exists()

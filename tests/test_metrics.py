@@ -13,9 +13,7 @@ from padaug.errors import (
 )
 from padaug.metrics import (
     DetMetrics,
-    ScoreRecord,
-    Trial,
-    cosine_score,
+    Trials,
     det_metrics,
     eer,
     format_report,
@@ -30,9 +28,25 @@ from padaug.seeding import make_rng
 
 
 def mk(targets, nons):
-    recs = [ScoreRecord(Trial(f"t{i}", f"t{i}x", True), float(s)) for i, s in enumerate(targets)]
-    recs += [ScoreRecord(Trial(f"n{i}", f"n{i}x", False), float(s)) for i, s in enumerate(nons)]
-    return recs
+    """(scores, is_target) arrays: the targets first, then the non-targets."""
+    scores = np.concatenate([np.asarray(targets, dtype=np.float64), np.asarray(nons, dtype=np.float64)])
+    is_target = np.arange(len(scores)) < len(targets)
+    return scores, is_target
+
+
+def cosine_ref(a, b):
+    """Per-pair numpy cosine: the reference for score_trials."""
+    return float(np.clip(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)), -1.0, 1.0))
+
+
+def score_pairs(*pairs):
+    """score_trials over pairs of vectors, each trial on its own two ids."""
+    store = {}
+    for i, (a, b) in enumerate(pairs):
+        store[f"e{i}"], store[f"t{i}"] = a, b
+    n = len(pairs)
+    trials = Trials(tuple(f"e{i}" for i in range(n)), tuple(f"t{i}" for i in range(n)), (True,) * n)
+    return score_trials(trials, store)
 
 
 def brute_force(targets, nons, p_target=0.01, c_miss=1.0, c_fa=1.0):
@@ -63,27 +77,51 @@ def brute_force(targets, nons, p_target=0.01, c_miss=1.0, c_fa=1.0):
 
 def test_cosine_closed_forms():
     a = np.array([3.0, 4.0])
-    assert cosine_score(a, a) == 1.0
-    assert cosine_score(np.array([1.0, 0.0]), np.array([0.0, 2.0])) == 0.0
-    got = cosine_score(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
-    assert abs(got - math.sqrt(2) / 2) < 1e-15
-    assert cosine_score(a, -a) == -1.0
+    got = score_pairs((a, a), (np.array([1.0, 0.0]), np.array([0.0, 2.0])),
+                      (np.array([1.0, 0.0]), np.array([1.0, 1.0])), (a, -a))
+    assert got[0] == 1.0
+    assert got[1] == 0.0
+    assert abs(got[2] - math.sqrt(2) / 2) < 1e-15
+    assert got[3] == -1.0
 
 
 def test_cosine_clamped():
     rng = make_rng(0)
-    for _ in range(50):
-        v = rng.standard_normal(16)
-        assert -1.0 <= cosine_score(v, 3.7 * v) <= 1.0
+    vs = [rng.standard_normal(16) for _ in range(50)]
+    got = score_pairs(*[(v, 3.7 * v) for v in vs])
+    assert np.all((-1.0 <= got) & (got <= 1.0))
 
 
 def test_cosine_errors():
     with pytest.raises(DimMismatchError):
-        cosine_score(np.ones(3), np.ones(4))
+        score_pairs((np.ones(3), np.ones(4)))
     with pytest.raises(DimMismatchError):
-        cosine_score(np.ones((2, 2)), np.ones((2, 2)))
+        score_pairs((np.ones((2, 2)), np.ones((2, 2))))
     with pytest.raises(ZeroNormError):
-        cosine_score(np.zeros(3), np.ones(3))
+        score_pairs((np.zeros(3), np.ones(3)))
+
+
+def test_score_trials_matches_per_pair_cosine():
+    tol = 1e-15  # summation order differs from np.dot / np.linalg.norm
+    rng = make_rng(31)
+    for rep in range(20):
+        n_utts = int(rng.integers(2, 40))
+        dim = int(rng.integers(1, 64))
+        store = {f"u{i}": rng.standard_normal(dim) for i in range(n_utts)}
+        n = int(rng.integers(1, 200)) if rep else 9000  # 9000 spans several scoring blocks
+        enroll = tuple(f"u{i}" for i in rng.integers(n_utts, size=n))
+        test = tuple(f"u{i}" for i in rng.integers(n_utts, size=n))
+        trials = Trials(enroll, test, tuple(bool(b) for b in rng.integers(2, size=n)))
+        got = score_trials(trials, store)
+        want = np.array([cosine_ref(store[a], store[b]) for a, b in zip(enroll, test)])
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - want)) <= tol
+
+
+def test_score_trials_ignores_unused_zero_norm():
+    store = {"a": np.array([1.0, 0.0]), "b": np.array([1.0, 1.0]), "unused": np.zeros(2)}
+    got = score_trials(Trials(("a",), ("b",), (True,)), store)
+    assert abs(got[0] - math.sqrt(2) / 2) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -92,33 +130,33 @@ def test_cosine_errors():
 
 def test_worked_example_two_by_two():
     recs = mk([0.8, 0.4], [0.6, 0.2])
-    e, et = eer(recs)
+    e, et = eer(*recs)
     assert e == 0.5 and et == 0.6
-    d, dt = min_dcf(recs)
+    d, dt = min_dcf(*recs)
     assert d == 0.5 and dt == 0.8
 
 
 def test_all_scores_equal():
-    e, _ = eer(mk([0.3, 0.3], [0.3]))
+    e, _ = eer(*mk([0.3, 0.3], [0.3]))
     assert e == 0.5
 
 
 def test_fully_separated():
     recs = mk([0.9, 0.8], [0.1, 0.2])
-    e, _ = eer(recs)
-    d, _ = min_dcf(recs)
+    e, _ = eer(*recs)
+    d, _ = min_dcf(*recs)
     assert e == 0.0 and d == 0.0
 
 
 def test_fully_inverted():
-    e, _ = eer(mk([0.1], [0.5, 0.9]))
+    e, _ = eer(*mk([0.1], [0.5, 0.9]))
     assert e == 1.0
 
 
 def test_interpolated_crossing():
     # FRR jumps 0 -> 2/3 while FAR drops 1/2 -> 0 at t=0.5: cross at 3/7
     recs = mk([0.5, 0.6, 0.9], [0.2, 0.5])
-    e, _ = eer(recs)
+    e, _ = eer(*recs)
     oracle_e, _ = brute_force([0.5, 0.6, 0.9], [0.2, 0.5])
     assert abs(e - oracle_e) < 1e-15
     assert 0.0 < e < 0.5
@@ -141,8 +179,8 @@ def test_matches_brute_force_sweep():
         p = [0.01, 0.05, 0.5][trial % 3]
         cm, cf = [(1.0, 1.0), (10.0, 1.0), (1.0, 4.0)][trial % 3]
         recs = mk(targets, nons)
-        e, _ = eer(recs)
-        d, _ = min_dcf(recs, p_target=p, c_miss=cm, c_fa=cf)
+        e, _ = eer(*recs)
+        d, _ = min_dcf(*recs, p_target=p, c_miss=cm, c_fa=cf)
         oe, od = brute_force(list(targets), list(nons), p, cm, cf)
         assert abs(e - oe) <= 1e-12
         assert d == od
@@ -154,17 +192,17 @@ def test_monotone_transform_invariance():
     rng = make_rng(7)
     targets = rng.standard_normal(40)
     nons = rng.standard_normal(55) - 0.3
-    base = det_metrics(mk(targets, nons), p_target=0.05)
-    warped = det_metrics(mk(3.0 * targets + 1.0, 3.0 * nons + 1.0), p_target=0.05)
+    base = det_metrics(*mk(targets, nons), p_target=0.05)
+    warped = det_metrics(*mk(3.0 * targets + 1.0, 3.0 * nons + 1.0), p_target=0.05)
     assert abs(base.eer - warped.eer) < 1e-12
     assert abs(base.min_dcf - warped.min_dcf) < 1e-12
 
 
 def test_det_metrics_bundles_both():
     recs = mk([0.8, 0.4], [0.6, 0.2])
-    m = det_metrics(recs)
-    assert (m.eer, m.eer_threshold) == eer(recs)
-    assert (m.min_dcf, m.dcf_threshold) == min_dcf(recs)
+    m = det_metrics(*recs)
+    assert (m.eer, m.eer_threshold) == eer(*recs)
+    assert (m.min_dcf, m.dcf_threshold) == min_dcf(*recs)
 
 
 # ---------------------------------------------------------------------------
@@ -173,23 +211,25 @@ def test_det_metrics_bundles_both():
 
 def test_degenerate_sets():
     with pytest.raises(DegenerateTrialSetError):
-        eer(mk([0.5], []))
+        eer(*mk([0.5], []))
     with pytest.raises(DegenerateTrialSetError):
-        min_dcf(mk([], [0.5]))
+        min_dcf(*mk([], [0.5]))
+    with pytest.raises(DimMismatchError):
+        eer(np.array([0.5, 0.4]), np.array([True]))
 
 
 def test_non_finite_scores():
     with pytest.raises(InvalidConfigError):
-        eer(mk([np.nan], [0.5]))
+        eer(*mk([np.nan], [0.5]))
     with pytest.raises(InvalidConfigError):
-        eer(mk([0.5], [np.inf]))
+        eer(*mk([0.5], [np.inf]))
 
 
 def test_min_dcf_parameter_validation():
     recs = mk([0.8], [0.2])
     for bad in ({"p_target": 0.0}, {"p_target": 1.0}, {"c_miss": 0.0}, {"c_fa": -1.0}):
         with pytest.raises(InvalidConfigError):
-            min_dcf(recs, **bad)
+            min_dcf(*recs, **bad)
 
 
 # ---------------------------------------------------------------------------
@@ -198,20 +238,19 @@ def test_min_dcf_parameter_validation():
 
 def test_score_trials_order_and_values():
     store = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0]), "c": np.array([1.0, 1.0])}
-    trials = [Trial("a", "c", True), Trial("a", "b", False)]
-    recs = score_trials(trials, store)
-    assert [r.trial for r in recs] == trials
-    assert abs(recs[0].score - math.sqrt(2) / 2) < 1e-15
-    assert recs[1].score == 0.0
+    trials = Trials(("a", "a"), ("c", "b"), (True, False))
+    scores = score_trials(trials, store)
+    assert abs(scores[0] - math.sqrt(2) / 2) < 1e-15
+    assert scores[1] == 0.0
 
 
 def test_score_trials_missing_embedding():
     with pytest.raises(MissingEmbeddingError):
-        score_trials([Trial("a", "ghost", True)], {"a": np.ones(2)})
+        score_trials(Trials(("a",), ("ghost",), (True,)), {"a": np.ones(2)})
 
 
 def test_trials_file_roundtrip(tmp_path):
-    trials = [Trial("spk0_u0", "spk1_u3", False), Trial("spk2_u1", "spk2_u2", True)]
+    trials = Trials(("spk0_u0", "spk2_u1"), ("spk1_u3", "spk2_u2"), (False, True))
     p = tmp_path / "trials.txt"
     write_trials(trials, p)
     assert p.read_text() == "0 spk0_u0 spk1_u3\n1 spk2_u1 spk2_u2\n"
@@ -231,22 +270,20 @@ def test_trials_file_errors(tmp_path):
 
 
 def test_scores_file_roundtrip(tmp_path):
-    trials = [Trial("a", "b", True), Trial("a", "c", False)]
-    recs = [ScoreRecord(trials[0], 0.123456789), ScoreRecord(trials[1], -0.25)]
+    trials = Trials(("a", "a"), ("b", "c"), (True, False))
     p = tmp_path / "scores.txt"
-    write_scores(recs, p)
+    write_scores(trials, np.array([0.123456789, -0.25]), p)
     assert p.read_text() == "a b 0.123457\na c -0.250000\n"
     back = read_scores(p, trials)
-    assert back[0].score == pytest.approx(0.123457)
-    assert back[1].score == -0.25
-    assert [r.trial for r in back] == trials
+    assert back[0] == pytest.approx(0.123457)
+    assert back[1] == -0.25
 
 
 def test_scores_file_missing_trial(tmp_path):
     p = tmp_path / "scores.txt"
-    write_scores([ScoreRecord(Trial("a", "b", True), 0.5)], p)
+    write_scores(Trials(("a",), ("b",), (True,)), np.array([0.5]), p)
     with pytest.raises(MissingEmbeddingError):
-        read_scores(p, [Trial("a", "zzz", False)])
+        read_scores(p, Trials(("a",), ("zzz",), (False,)))
 
 
 def test_report_format():

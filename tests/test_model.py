@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,8 @@ def test_tsp_matches_two_pass_oracle():
 def test_tsp_needs_two_frames():
     with pytest.raises(TooFewFramesError):
         tsp_pool(np.zeros((1, 4)))
+    with pytest.raises(TooFewFramesError):
+        forward(init_model(small_cfg(0)), FeatureMatrix(np.zeros((1, 6))))
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +289,8 @@ def test_train_rejects_single_speaker():
         train(cfg, solo)
     with pytest.raises(InvalidConfigError):
         train(cfg, ts, augment="wat")
+    with pytest.raises(DatasetTooSmallError):  # fewer utterances than one batch
+        train(replace(cfg, batch_size=len(ts.utt_ids) + 1), ts)
 
 
 # ---------------------------------------------------------------------------

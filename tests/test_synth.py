@@ -96,16 +96,17 @@ def records_for(speakers):
 def test_make_trials_balance():
     recs = records_for({"a": 3, "b": 2, "c": 2})
     trials = make_trials(recs, make_rng(0))
-    targets = [t for t in trials if t.is_target]
-    nons = [t for t in trials if not t.is_target]
+    pairs = list(zip(trials.enroll, trials.test, trials.is_target))
+    targets = [(a, b) for a, b, target in pairs if target]
+    nons = [(a, b) for a, b, target in pairs if not target]
     assert len(targets) == 3 + 1 + 1
     assert len(nons) == len(targets)
     spk = {r.utt_id: r.speaker_id for r in recs}
-    for t in targets:
-        assert spk[t.enroll_id] == spk[t.test_id]
-    for t in nons:
-        assert spk[t.enroll_id] != spk[t.test_id]
-    assert len({(t.enroll_id, t.test_id) for t in nons}) == len(nons)
+    for a, b in targets:
+        assert spk[a] == spk[b]
+    for a, b in nons:
+        assert spk[a] != spk[b]
+    assert len(set(nons)) == len(nons)
 
 
 def test_make_trials_deterministic():
@@ -131,7 +132,7 @@ def test_build_corpus_layout(tmp_path):
     back = read_manifest(tmp_path / "c" / "manifest.tsv")
     assert [r.utt_id for r in back] == [r.utt_id for r in records]
     assert read_trials(tmp_path / "c" / "trials.txt") == trials
-    assert sum(t.is_target for t in trials) == 3
+    assert sum(trials.is_target) == 3
     assert len(trials) == 6
     # durations jittered around the nominal value
     for r in records:
