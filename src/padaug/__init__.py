@@ -9,7 +9,6 @@ from .augment import (
     AugmentedUtterance,
     PadAugConfig,
     PaddingLayout,
-    pad_aug_batch,
     pad_aug_utterance,
 )
 from .errors import PadAugError
@@ -48,7 +47,6 @@ __all__ = [
     "forward",
     "make_speaker",
     "min_dcf",
-    "pad_aug_batch",
     "pad_aug_utterance",
     "read_wav",
     "score_trials",

@@ -23,8 +23,7 @@ from .errors import (
     SilentReferenceError,
     TooShortError,
 )
-from .seeding import Rng, make_rng, randint, spawn
-from .workers import worker_map
+from .seeding import Rng, randint
 
 # Noise variance pad_aug_utterance uses for digitally-silent inputs, where
 # erroring out on one utterance would abort a whole training batch.
@@ -186,21 +185,3 @@ def pad_aug_utterance(x: Waveform, cfg: PadAugConfig, rng: Rng) -> AugmentedUtte
     noise = wgn_like(chunk, layout.snr_db, layout.l_pad, rng, variance_floor=SILENT_VARIANCE_FLOOR)
     return AugmentedUtterance(waveform=assemble(chunk, layout, noise), layout=layout, chunk=chunk)
 
-
-def pad_aug_batch(batch, cfg: PadAugConfig, rng: Rng):
-    """Augment a mini-batch; every output has length exactly cfg.t_max.
-
-    Each utterance gets an independent child seed drawn from rng up
-    front, so utterances may be processed in parallel without changing
-    the result.
-    """
-    seeds = [spawn(rng) for _ in batch]
-
-    def one(item):
-        index, x = item
-        try:
-            return pad_aug_utterance(x, cfg, make_rng(seeds[index])).waveform
-        except TooShortError as e:
-            raise type(e)(f"utterance {index}: {e}") from e
-
-    return worker_map(one, enumerate(batch))

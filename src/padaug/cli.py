@@ -9,25 +9,26 @@ fully reproducible from its argv; `--config FILE` supplies key=value
 defaults (keys are long option names, '#' starts a comment) that
 explicit flags override; the resolved configuration is echoed to stderr;
 PADAUG_THREADS caps the worker pool. Exit codes: 0 success, 1 pipeline
-failure, 2 usage error.
+failure, 2 usage error (bad arguments, or a PADAUG_THREADS that is not an
+integer >= 1).
 """
 
 import argparse
 import sys
 from pathlib import Path
 
-from .audio_io import read_wav, write_wav
+from .audio_io import read_wav
 from .augment import PadAugConfig, pad_aug_utterance
 from .errors import InvalidConfigError, PadAugError
 from .features import FbankConfig, FeatureMatrix, cmn, fbank, read_feature_dump, write_feature_dump
-from .manifest import UtteranceRecord, read_manifest, write_manifest
+from .manifest import map_wavs, read_manifest
 from .metrics import det_metrics, format_report, read_scores, read_trials, score_trials, write_scores
 from .model import ToyModelConfig, embed_utterance, forward, load_model, load_training_set, save_model, train
 from .seeding import child_seed, make_rng
 from .synth import build_corpus
 from .testset import PLACEMENTS, TEST_SNR_DB, VARIANT_KINDS, TestVariant, build_testset
 from .vad import VadConfig, detect, drop_silence, write_mask_dump
-from .workers import worker_map
+from .workers import worker_count, worker_map
 
 
 def _log_config(args) -> None:
@@ -81,30 +82,24 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _pad_config(args, sample_rate_hz: int, mode: str) -> PadAugConfig:
+    """The augmentation settings of `augment`/`train`, seconds to samples."""
+    return PadAugConfig(
+        t_min=round(args.t_min * sample_rate_hz),
+        t_max=round(args.t_max * sample_rate_hz),
+        snr_min_db=args.snr_min,
+        snr_max_db=args.snr_max,
+        use_mid=mode == "hmt",
+    )
+
+
 def _cmd_augment(args) -> int:
-    records = read_manifest(args.manifest)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    def one(rec: UtteranceRecord) -> UtteranceRecord:
+    def one(rec, w):
         rng = make_rng(child_seed(args.seed, rec.utt_id))
-        w = read_wav(rec.wav_path)
-        sr = w.sample_rate_hz
-        cfg = PadAugConfig(
-            t_min=round(args.t_min * sr),
-            t_max=round(args.t_max * sr),
-            snr_min_db=args.snr_min,
-            snr_max_db=args.snr_max,
-            use_mid=args.mode == "hmt",
-        )
-        out = pad_aug_utterance(w, cfg, rng).waveform
-        dst = out_dir / f"{rec.utt_id}.wav"
-        write_wav(out, dst)
-        return UtteranceRecord(rec.utt_id, rec.speaker_id, str(dst), len(out), sr)
+        return pad_aug_utterance(w, _pad_config(args, w.sample_rate_hz, args.mode), rng).waveform
 
-    new_records = worker_map(one, records)
-    write_manifest(new_records, out_dir / "manifest.tsv")
-    print(f"augmented {len(new_records)} utterances into {out_dir}")
+    new_records = map_wavs(read_manifest(args.manifest), args.out, one)
+    print(f"augmented {len(new_records)} utterances into {args.out}")
     return 0
 
 
@@ -141,26 +136,17 @@ def _cmd_vad(args) -> int:
         hang_over=args.hang_over,
         floor_percentile=args.floor_percentile,
     )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    masks = {}
 
-    def one(rec):
-        w = read_wav(rec.wav_path)
-        mask = detect(w, cfg)
-        if mask.flags.any():
-            out = drop_silence(w, mask)
-        else:
-            out = w  # nothing classified as speech: keep the original
-        dst = out_dir / f"{rec.utt_id}.wav"
-        write_wav(out, dst)
-        rec_out = UtteranceRecord(rec.utt_id, rec.speaker_id, str(dst), len(out), w.sample_rate_hz)
-        return rec_out, (rec.utt_id, mask)
+    def one(rec, w):
+        mask = masks[rec.utt_id] = detect(w, cfg)
+        # Nothing classified as speech: keep the original.
+        return drop_silence(w, mask) if mask.flags.any() else w
 
-    results = worker_map(one, records)
-    write_manifest([r for r, _ in results], out_dir / "manifest.tsv")
+    map_wavs(records, args.out, one)
     if args.mask_out:
-        write_mask_dump(args.mask_out, [m for _, m in results])
-    print(f"dropped silence for {len(records)} utterances into {out_dir}")
+        write_mask_dump(args.mask_out, [(r.utt_id, masks[r.utt_id]) for r in records])
+    print(f"dropped silence for {len(records)} utterances into {args.out}")
     return 0
 
 
@@ -182,15 +168,9 @@ def _cmd_train(args) -> int:
         chunk_len=args.chunk_frames,
         seed=args.seed,
     )
-    sr = ts.waveforms[0].sample_rate_hz
-    pad_cfg = PadAugConfig(
-        t_min=round(args.t_min * sr),
-        t_max=round(args.t_max * sr),
-        snr_min_db=args.snr_min,
-        snr_max_db=args.snr_max,
-        use_mid=args.augment == "hmt",
-    )
-    result = train(cfg, ts, augment=args.augment, pad_cfg=pad_cfg)
+    # Built, and so validated, even when unused.
+    pad_cfg = _pad_config(args, ts.waveforms[0].sample_rate_hz, args.augment)
+    result = train(cfg, ts, None if args.augment == "none" else pad_cfg)
     meta = {
         "augment": args.augment,
         "speakers": ",".join(ts.speakers),
@@ -394,7 +374,12 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _splice_config(argv)
-        args = _build_parser().parse_args(argv)
+        parser = _build_parser()
+        args = parser.parse_args(argv)
+        try:
+            worker_count()
+        except InvalidConfigError as e:
+            parser.error(str(e))
         _log_config(args)
         return args.func(args)
     except PadAugError as e:

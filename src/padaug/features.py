@@ -8,6 +8,7 @@ scaling a waveform by c shifts every above-floor output by exactly
 2*ln(c).
 """
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -95,11 +96,6 @@ def mel_filterbank(n_mels: int, n_fft: int, sr: int) -> np.ndarray:
     return fb
 
 
-def mel_center_frequencies(n_mels: int, sr: int) -> np.ndarray:
-    """Center frequency in Hz of each triangular filter."""
-    return mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(sr / 2.0), n_mels + 2))[1:-1]
-
-
 def frame_count(num_samples: int, win: int, hop: int) -> int:
     return 1 + (num_samples - win) // hop
 
@@ -177,16 +173,20 @@ def write_feature_dump(path, items) -> None:
         f.writelines(index_lines)
 
 
-def _read_entry(f) -> FeatureMatrix:
+def _read_entry(f, file_size: int) -> FeatureMatrix:
     magic = f.read(4)
     if magic != FEATURE_MAGIC:
         raise CorruptHeaderError(f"bad feature magic {magic!r}")
-    frames, dims = struct.unpack("<ii", f.read(8))
+    header = f.read(8)
+    if len(header) != 8:
+        raise CorruptHeaderError("truncated feature entry header")
+    frames, dims = struct.unpack("<ii", header)
     if frames < 0 or dims < 1:
         raise CorruptHeaderError(f"bad feature shape ({frames}, {dims})")
+    # Checked before reading, so a corrupt shape cannot ask for a huge buffer.
+    if 4 * frames * dims > file_size - f.tell():
+        raise CorruptHeaderError(f"feature entry of {frames} x {dims} runs past the end of the file")
     raw = f.read(4 * frames * dims)
-    if len(raw) != 4 * frames * dims:
-        raise CorruptHeaderError("truncated feature entry")
     return FeatureMatrix(np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(frames, dims))
 
 
@@ -194,11 +194,13 @@ def read_feature_index(path):
     """Load the sidecar index as an ordered utt_id -> offset dict."""
     index = {}
     with open(_index_path(path), "r", encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            utt_id, off = line.split("\t")
+            utt_id, _, off = line.partition("\t")
+            if not (off.isascii() and off.isdigit()):
+                raise CorruptHeaderError(f"{_index_path(path)}:{lineno}: expected <utt_id>\\t<offset>")
             index[utt_id] = int(off)
     return index
 
@@ -208,7 +210,8 @@ def read_feature_dump(path):
     index = read_feature_index(path)
     out = {}
     with open(path, "rb") as f:
+        file_size = os.fstat(f.fileno()).st_size
         for utt_id, off in index.items():
             f.seek(off)
-            out[utt_id] = _read_entry(f)
+            out[utt_id] = _read_entry(f, file_size)
     return out

@@ -2,14 +2,17 @@
 
 Columns: utt_id, speaker_id, wav_path, num_samples, sample_rate. No
 header row. wav_path is stored relative to the manifest's directory so a
-dataset directory can be moved wholesale.
+dataset directory can be moved wholesale. map_wavs writes a WAV dataset
+directory: `<utt_id>.wav` per record plus `manifest.tsv`.
 """
 
 import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import CorruptHeaderError, InvalidConfigError
+from .audio_io import read_wav, write_wav
+from .errors import CorruptHeaderError, InvalidConfigError, PadAugError
+from .workers import worker_map
 
 _NUM_COLS = 5
 
@@ -86,3 +89,28 @@ def read_manifest(path):
                 )
             )
     return records
+
+
+def map_wavs(records, out_dir, fn):
+    """Write fn(rec, waveform) as out_dir/<utt_id>.wav for every record,
+    plus out_dir/manifest.tsv; returns the new records in input order.
+
+    Records run through worker_map, so fn must derive any randomness from
+    the record itself. A PadAugError or OSError is re-raised with the
+    utterance id prefixed to its message.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+
+    def one(rec: UtteranceRecord) -> UtteranceRecord:
+        dst = out_dir / f"{rec.utt_id}.wav"
+        try:
+            out = fn(rec, read_wav(rec.wav_path))
+            write_wav(out, dst)
+        except (PadAugError, OSError) as e:
+            raise type(e)(f"utterance {rec.utt_id}: {e}") from e
+        return UtteranceRecord(rec.utt_id, rec.speaker_id, str(dst), len(out), out.sample_rate_hz)
+
+    new_records = worker_map(one, records)
+    write_manifest(new_records, out_dir / "manifest.tsv")
+    return new_records

@@ -33,7 +33,6 @@ from .workers import worker_map
 
 CHECKPOINT_MAGIC = b"PADM"
 VAR_FLOOR = 1e-10
-AUGMENT_MODES = ("none", "ht", "hmt")
 
 
 @dataclass(frozen=True)
@@ -267,28 +266,19 @@ class TrainResult:
     log: list  # (step, loss, lr, margin) per step
 
 
-def train(
-    cfg: ToyModelConfig,
-    ts: TrainingSet,
-    augment: str = "none",
-    pad_cfg: PadAugConfig | None = None,
-) -> TrainResult:
+def train(cfg: ToyModelConfig, ts: TrainingSet, pad_cfg: PadAugConfig | None = None) -> TrainResult:
     """SGD over shuffled mini-batches for cfg.total_steps steps.
 
-    With augment in {"ht", "hmt"} each utterance passes through the
-    padding augmentation before feature extraction, fresh draws every
-    step. Per-utterance seeds are drawn up front each step, so batch
-    assembly may run in a worker pool without changing the result.
+    With a pad_cfg each utterance passes through the padding augmentation
+    (HT, or HMT when pad_cfg.use_mid) before feature extraction, fresh
+    draws every step; None trains on the unpadded waveforms. Per-utterance
+    seeds are drawn up front each step, so batch assembly may run in a
+    worker pool without changing the result.
     """
-    if augment not in AUGMENT_MODES:
-        raise InvalidConfigError(f"augment must be one of {AUGMENT_MODES}, got {augment!r}")
     if len(ts.speakers) < 2:
         raise DatasetTooSmallError("need >= 2 speakers")
     if len(ts.utt_ids) < cfg.batch_size:
         raise DatasetTooSmallError(f"need >= batch_size={cfg.batch_size} utterances, got {len(ts.utt_ids)}")
-    if augment != "none" and pad_cfg is None:
-        sr = ts.waveforms[0].sample_rate_hz
-        pad_cfg = PadAugConfig(t_min=sr, t_max=3 * sr, use_mid=(augment == "hmt"))
 
     model = init_model(cfg)
     order_rng = make_rng(child_seed(cfg.seed, "order"))
@@ -299,7 +289,7 @@ def train(
         def one(pair):
             idx, sub_seed = pair
             rng = make_rng(sub_seed)
-            if augment == "none":
+            if pad_cfg is None:
                 if idx not in feature_cache:
                     feature_cache[idx] = fbank(ts.waveforms[idx])
                 feats = feature_cache[idx]
@@ -361,6 +351,8 @@ def load_model(path) -> ToyModel:
     blob = path.read_bytes()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise CorruptHeaderError(f"bad checkpoint magic {blob[:4]!r}")
+    if len(blob) < 20:
+        raise CorruptHeaderError(f"checkpoint is {len(blob)} bytes, shorter than its 20-byte header")
     input_dim, hidden_dim, embed_dim, n_speakers = struct.unpack("<iiii", blob[4:20])
     if min(input_dim, hidden_dim, embed_dim, n_speakers) < 1:
         raise CorruptHeaderError("non-positive dimension in checkpoint header")

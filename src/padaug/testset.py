@@ -14,18 +14,15 @@ offset, then mid split point, then noise, so variants that share a seed
 also share the underlying chunk.
 """
 
-import shutil
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .audio_io import Waveform, read_wav, write_wav
+from .audio_io import Waveform
 from .augment import PaddingLayout, assemble, loop_pad, random_chunk, wgn_like
 from .errors import EmptyInputError, InvalidConfigError, InvalidRatioError, LengthMismatchError
-from .manifest import UtteranceRecord, write_manifest
+from .manifest import map_wavs
 from .seeding import Rng, child_seed, make_rng, randint
-from .workers import worker_map
 
 CHUNK_SECONDS = 3.0
 TEST_SNR_DB = 25.0
@@ -147,22 +144,9 @@ def build_testset(
 
     Writes one WAV per input record plus a manifest.tsv in out_dir.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
-    def one(rec: UtteranceRecord) -> UtteranceRecord:
-        dst = out_dir / f"{rec.utt_id}.wav"
-        try:
-            if variant.kind == "original":
-                shutil.copyfile(rec.wav_path, dst)
-                return UtteranceRecord(rec.utt_id, rec.speaker_id, str(dst), rec.num_samples, rec.sample_rate_hz)
-            rng = make_rng(child_seed(seed, rec.utt_id))
-            out = apply_variant(read_wav(rec.wav_path), variant, rng, snr_db=snr_db, from_start=from_start)
-            write_wav(out, dst)
-            return UtteranceRecord(rec.utt_id, rec.speaker_id, str(dst), len(out), out.sample_rate_hz)
-        except Exception as e:
-            raise type(e)(f"utterance {rec.utt_id}: {e}") from e
+    def one(rec, w: Waveform) -> Waveform:
+        rng = make_rng(child_seed(seed, rec.utt_id))
+        return apply_variant(w, variant, rng, snr_db=snr_db, from_start=from_start)
 
-    new_records = worker_map(one, records)
-    write_manifest(new_records, out_dir / "manifest.tsv")
-    return new_records
+    return map_wavs(records, out_dir, one)

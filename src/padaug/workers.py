@@ -1,13 +1,16 @@
 """Optional utterance-level worker pool.
 
 The PADAUG_THREADS environment variable caps the number of worker threads;
-unset or 1 means serial execution. Work items must be independent (each
-carries its own derived seed), so parallel and serial runs produce
-identical results and output order always matches input order.
+unset or 1 means serial execution, and anything but an integer >= 1 is an
+InvalidConfigError. Work items must be independent (each carries its own
+derived seed), so parallel and serial runs produce identical results and
+output order always matches input order.
 """
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+
+from .errors import InvalidConfigError
 
 
 def worker_count() -> int:
@@ -15,8 +18,10 @@ def worker_count() -> int:
     try:
         n = int(raw)
     except ValueError:
-        return 1
-    return max(1, n)
+        n = 0
+    if n < 1:
+        raise InvalidConfigError(f"PADAUG_THREADS must be an integer >= 1, got {raw!r}")
+    return n
 
 
 def worker_map(fn, items):

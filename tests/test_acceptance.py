@@ -151,7 +151,8 @@ def experiment(tmp_path_factory):
     ts = load_training_set(records)
     cfg = ToyModelConfig(n_speakers=20, hidden_dim=64, embed_dim=32,
                          warmup_steps=60, total_steps=800, batch_size=32, seed=SEED)
-    models = {"baseline": train(cfg, ts).model, "padaug": train(cfg, ts, augment="ht").model}
+    ht = PadAugConfig(t_min=16000, t_max=48000)
+    models = {"baseline": train(cfg, ts).model, "padaug": train(cfg, ts, ht).model}
     t_train = time.monotonic() - t0
 
     waves = dict(zip(ts.utt_ids, ts.waveforms))

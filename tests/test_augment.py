@@ -7,7 +7,6 @@ from padaug.augment import (
     PaddingLayout,
     assemble,
     loop_pad,
-    pad_aug_batch,
     pad_aug_utterance,
     random_chunk,
     sample_layout,
@@ -164,33 +163,3 @@ def test_loop_pad():
 def test_short_input_still_reaches_t_max():
     out = pad_aug_utterance(speech(1200), PadAugConfig(t_min=5000, t_max=9000), make_rng(10))
     assert len(out.waveform) == 9000
-
-
-def test_batch_length_and_determinism():
-    cfg = PadAugConfig(t_min=400, t_max=900, use_mid=True)
-    batch = [speech(n, seed=n) for n in (950, 1400, 402, 7000)]
-    outs1 = pad_aug_batch(batch, cfg, make_rng(11))
-    outs2 = pad_aug_batch(batch, cfg, make_rng(11))
-    assert len(outs1) == 4
-    for a, b in zip(outs1, outs2):
-        assert len(a) == 900
-        assert np.array_equal(a.samples, b.samples)
-    assert pad_aug_batch([], cfg, make_rng(0)) == []
-
-
-def test_batch_parallel_equals_serial(monkeypatch):
-    cfg = PadAugConfig(t_min=400, t_max=900)
-    batch = [speech(1000, seed=i) for i in range(6)]
-    serial = pad_aug_batch(batch, cfg, make_rng(12))
-    monkeypatch.setenv("PADAUG_THREADS", "3")
-    parallel = pad_aug_batch(batch, cfg, make_rng(12))
-    for a, b in zip(serial, parallel):
-        assert np.array_equal(a.samples, b.samples)
-
-
-def test_batch_error_carries_index():
-    cfg = PadAugConfig(t_min=400, t_max=900)
-    batch = [speech(1000), Waveform(np.zeros(0), SR)]
-    with pytest.raises(TooShortError) as err:
-        pad_aug_batch(batch, cfg, make_rng(13))
-    assert "utterance 1" in str(err.value)

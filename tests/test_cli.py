@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -205,16 +207,92 @@ def test_sweep_cmd(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "sweep.tsv.work" / "ratio8").is_dir()
 
 
-def test_sweep_identical_at_any_thread_count(tmp_path, monkeypatch):
-    argv = sweep_inputs(tmp_path)
+def trees_at_thread_counts(tmp_path, monkeypatch, argv_for):
+    """Every output file's bytes, keyed by path, after running argv_for(out_dir)
+    at PADAUG_THREADS=1 and =2."""
     outputs = {}
     for threads in ("1", "2"):
         monkeypatch.setenv("PADAUG_THREADS", threads)
         out = tmp_path / f"t{threads}"
-        assert main(argv + ["--out", str(out / "sweep.tsv")]) == 0
+        assert main([str(a) for a in argv_for(out)]) == 0
         outputs[threads] = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
-    assert len(outputs["1"]) == 1 + 9 * 5  # the table, plus 4 WAVs and a manifest per k
-    assert outputs["1"] == outputs["2"]
+    return outputs["1"], outputs["2"]
+
+
+def test_sweep_identical_at_any_thread_count(tmp_path, monkeypatch):
+    argv = sweep_inputs(tmp_path)
+    serial, parallel = trees_at_thread_counts(tmp_path, monkeypatch, lambda out: argv + ["--out", out / "sweep.tsv"])
+    assert len(serial) == 1 + 9 * 5  # the table, plus 4 WAVs and a manifest per k
+    assert serial == parallel
+
+
+PER_RECORD_ARGV = {
+    "augment": (["--mode", "hmt", "--seed", "5"], 6 + 1),
+    "vad": (["--mask-out", "{out}/masks.txt"], 6 + 2),
+    "build-testset": (["--variant", "ratio", "--k", "2", "--placement", "per-layout", "--seed", "3"], 6 + 1),
+    "train": (["--augment", "ht", "--steps", "3", "--warmup-steps", "1", "--batch-size", "4",
+               "--hidden-dim", "8", "--embed-dim", "4", "--chunk-frames", "50",
+               "--log", "{out}/log.tsv", "--seed", "21"], 3),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PER_RECORD_ARGV))
+def test_identical_at_any_thread_count(corpus, tmp_path, monkeypatch, command):
+    extra, n_files = PER_RECORD_ARGV[command]
+
+    def argv_for(out):
+        dst = out / "m.bin" if command == "train" else out
+        return [command, "--manifest", corpus / "manifest.tsv", "--out", dst] + [a.format(out=out) for a in extra]
+
+    serial, parallel = trees_at_thread_counts(tmp_path, monkeypatch, argv_for)
+    assert len(serial) == n_files
+    assert serial == parallel
+
+
+def test_vad_masks_under_thread_contention(corpus, tmp_path, monkeypatch):
+    # vad workers store masks in one shared dict; more workers than cores and
+    # a short switch interval must still give the serial run's mask dump
+    src = read_manifest(corpus / "manifest.tsv")
+    records = [UtteranceRecord(f"{r.utt_id}-{i}", r.speaker_id, r.wav_path, r.num_samples, r.sample_rate_hz)
+               for i in range(8) for r in src]
+    write_manifest(records, tmp_path / "many.tsv")
+
+    def mask_dump(threads):
+        monkeypatch.setenv("PADAUG_THREADS", threads)
+        out = tmp_path / f"t{threads}"
+        assert main(["vad", "--manifest", str(tmp_path / "many.tsv"), "--out", str(out),
+                     "--mask-out", str(out / "masks.txt")]) == 0
+        return (out / "masks.txt").read_text()
+
+    serial = mask_dump("1")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        contended = mask_dump("8")
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(serial.splitlines()) == len(records)
+    assert contended == serial
+
+
+def test_empty_wav_error_names_utterance(tmp_path, capsys):
+    write_wav(Waveform(np.zeros(0), 16000), tmp_path / "empty.wav")
+    write_manifest([UtteranceRecord("empty01", "s0", str(tmp_path / "empty.wav"), 0, 16000)], tmp_path / "m.tsv")
+    for command, extra in (("augment", ["--seed", "1"]), ("vad", [])):
+        capsys.readouterr()
+        argv = [command, "--manifest", str(tmp_path / "m.tsv"), "--out", str(tmp_path / command)] + extra
+        assert main(argv) == 1
+        assert "utterance empty01" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["abc", "0"])
+def test_bad_thread_count_is_usage_error(tmp_path, monkeypatch, threads):
+    monkeypatch.setenv("PADAUG_THREADS", threads)
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--out", str(tmp_path / "c"), "--n-speakers", "2", "--n-utts", "1",
+              "--duration", "1.0", "--seed", "1"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "c").exists()
 
 
 def test_config_file_precedence(tmp_path):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from padaug.features import (
     fbank,
     frame_count,
     hz_to_mel,
-    mel_center_frequencies,
     mel_filterbank,
     mel_to_hz,
     read_feature_dump,
@@ -73,7 +74,7 @@ def test_filterbank_shape_and_coverage():
 def test_tone_lands_in_bracketing_filter():
     # oracle from the center-frequency formula: the strongest mel bin for a
     # pure tone must have 1 kHz between its neighbors' centers
-    centers = mel_center_frequencies(80, SR)
+    centers = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(SR / 2.0), 80 + 2))[1:-1]
     f = fbank(tone(1000.0))
     argmax = np.argmax(f.values, axis=1)
     assert len(set(argmax.tolist())) == 1
@@ -168,5 +169,22 @@ def test_dump_corruption_detected(tmp_path):
     with pytest.raises(CorruptHeaderError):
         read_feature_dump(path)
     path.write_bytes(blob[:-4])
+    with pytest.raises(CorruptHeaderError):
+        read_feature_dump(path)
+
+
+@pytest.mark.parametrize(
+    "blob, index",
+    [
+        (b"FBK1" + struct.pack("<ii", 1, 1) + bytes(4), "u 0\n"),  # index line without a tab
+        (b"FBK1" + struct.pack("<i", 2), "u\t0\n"),  # truncated entry header
+        (b"FBK1" + struct.pack("<ii", 2**28, 2**28), "u\t0\n"),  # a 2**58-byte read if trusted
+    ],
+    ids=["index-no-tab", "short-header", "shape-past-eof"],
+)
+def test_dump_corrupt_header(tmp_path, blob, index):
+    path = tmp_path / "f.bin"
+    path.write_bytes(blob)
+    (tmp_path / "f.bin.idx").write_text(index)
     with pytest.raises(CorruptHeaderError):
         read_feature_dump(path)
