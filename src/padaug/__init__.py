@@ -16,7 +16,7 @@ from .features import FbankConfig, FeatureMatrix, cmn, fbank
 from .metrics import DetMetrics, Trials, det_metrics, eer, min_dcf, score_trials
 from .model import ToyModel, ToyModelConfig, forward, train
 from .synth import build_corpus, make_speaker, synth_utterance
-from .testset import TestVariant, build_testset
+from .testset import TestVariant, build_testset, ratio_sweep
 from .vad import SpeechMask, VadConfig, detect, drop_silence
 
 __version__ = "0.1.0"
@@ -48,6 +48,7 @@ __all__ = [
     "make_speaker",
     "min_dcf",
     "pad_aug_utterance",
+    "ratio_sweep",
     "read_wav",
     "score_trials",
     "synth_utterance",

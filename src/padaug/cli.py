@@ -23,10 +23,10 @@ from .errors import InvalidConfigError, PadAugError
 from .features import FbankConfig, FeatureMatrix, cmn, fbank, read_feature_dump, write_feature_dump
 from .manifest import map_wavs, read_manifest
 from .metrics import det_metrics, format_report, read_scores, read_trials, score_trials, write_scores
-from .model import ToyModelConfig, embed_utterance, forward, load_model, load_training_set, save_model, train
+from .model import ToyModelConfig, embed_utterance, load_model, load_training_set, save_model, train
 from .seeding import child_seed, make_rng
 from .synth import build_corpus
-from .testset import PLACEMENTS, TEST_SNR_DB, VARIANT_KINDS, TestVariant, build_testset
+from .testset import PLACEMENTS, TEST_SNR_DB, VARIANT_KINDS, TestVariant, build_testset, ratio_sweep
 from .vad import VadConfig, detect, drop_silence, write_mask_dump
 from .workers import worker_count, worker_map
 
@@ -235,14 +235,10 @@ def _cmd_sweep(args) -> int:
     snr = None if args.zero_pad else args.snr_db
 
     lines = ["system\tk_seconds\tratio\teer\tmin_dcf"]
-    for k in range(9):
-        variant = TestVariant(kind="ratio", k_seconds=k, placement=args.placement)
-        new_records = build_testset(records, variant, work_dir / f"ratio{k}", args.seed, snr_db=snr)
-        # Features once per padded utterance, shared by every model.
-        feats = worker_map(lambda r: (r.utt_id, cmn(fbank(read_wav(r.wav_path)))), new_records)
-        for name, model in models:
-            store = {utt: forward(model, f) for utt, f in feats}
-            m = det_metrics(score_trials(trials, store), trials.is_target, p_target=args.p_target)
+    sweep = ratio_sweep(records, trials, models, work_dir, args.seed,
+                        placement=args.placement, snr_db=snr, p_target=args.p_target)
+    for k, rows in sweep:
+        for name, m in rows:
             lines.append(f"{name}\t{k}\t{k / 3.0:.4f}\t{m.eer:.6f}\t{m.min_dcf:.6f}")
             print(f"ratio {k}/3 {name}: eer {m.eer:.4f} min_dcf {m.min_dcf:.4f}", file=sys.stderr)
     text = "\n".join(lines) + "\n"

@@ -17,6 +17,7 @@ import numpy as np
 
 from .audio_io import Waveform
 from .errors import CorruptHeaderError, InvalidConfigError, TooShortError
+from .manifest import check_utt_id
 from .seeding import Rng, randint
 
 FEATURE_MAGIC = b"FBK1"
@@ -163,8 +164,7 @@ def write_feature_dump(path, items) -> None:
     index_lines = []
     with open(path, "wb") as f:
         for utt_id, mat in items:
-            if "\t" in utt_id or "\n" in utt_id or not utt_id:
-                raise InvalidConfigError(f"bad utt_id for dump: {utt_id!r}")
+            check_utt_id(utt_id)
             index_lines.append(f"{utt_id}\t{f.tell()}\n")
             f.write(FEATURE_MAGIC)
             f.write(struct.pack("<ii", mat.frames, mat.dims))

@@ -26,6 +26,14 @@ class UtteranceRecord:
     sample_rate_hz: int
 
 
+def check_utt_id(utt_id: str) -> None:
+    """An utterance id names a WAV file and fills one column of the
+    space-delimited trial and score files, so it must be non-empty, with no
+    whitespace and no '/'. Raises InvalidConfigError otherwise."""
+    if not utt_id or "/" in utt_id or any(c.isspace() for c in utt_id):
+        raise InvalidConfigError(f"bad utt_id {utt_id!r}: must be non-empty, without whitespace or '/'")
+
+
 def _check_field(value: str, name: str) -> str:
     if not value:
         raise InvalidConfigError(f"empty {name} in manifest record")
@@ -41,7 +49,7 @@ def write_manifest(records, path) -> None:
     lines = []
     seen = set()
     for r in records:
-        _check_field(r.utt_id, "utt_id")
+        check_utt_id(r.utt_id)
         _check_field(r.speaker_id, "speaker_id")
         if r.utt_id in seen:
             raise InvalidConfigError(f"duplicate utt_id {r.utt_id!r}")
@@ -69,6 +77,10 @@ def read_manifest(path):
             if len(cols) != _NUM_COLS:
                 raise CorruptHeaderError(f"{path}:{lineno}: expected {_NUM_COLS} columns, got {len(cols)}")
             utt_id, speaker_id, rel, n, sr = cols
+            try:
+                check_utt_id(utt_id)
+            except InvalidConfigError as e:
+                raise CorruptHeaderError(f"{path}:{lineno}: {e}") from e
             if utt_id in seen:
                 raise CorruptHeaderError(f"{path}:{lineno}: duplicate utt_id {utt_id!r}")
             seen.add(utt_id)

@@ -192,7 +192,10 @@ def read_scores(path, trials: Trials) -> np.ndarray:
                 continue
             if len(parts) != 3:
                 raise InvalidLabelError(f"{path}:{lineno}: expected 'enroll test score'")
-            table[(parts[0], parts[1])] = float(parts[2])
+            try:
+                table[(parts[0], parts[1])] = float(parts[2])
+            except ValueError as e:
+                raise InvalidLabelError(f"{path}:{lineno}: score {parts[2]!r} is not a number") from e
     out = np.empty(len(trials))
     for i, key in enumerate(zip(trials.enroll, trials.test)):
         if key not in table:

@@ -6,6 +6,7 @@ padded evaluation sets. That experiment runs once in a module fixture
 and takes a few minutes; everything else is fast.
 """
 
+import shutil
 import time
 
 import numpy as np
@@ -14,11 +15,9 @@ import pytest
 from padaug.audio_io import Waveform
 from padaug.augment import PadAugConfig, pad_aug_utterance
 from padaug.features import FbankConfig, FeatureMatrix, cmn, fbank
-from padaug.metrics import det_metrics, eer, min_dcf, score_trials
+from padaug.metrics import eer, min_dcf
 from padaug.model import (
     ToyModelConfig,
-    embed_utterance,
-    forward,
     init_model,
     load_training_set,
     loss_and_grads,
@@ -26,7 +25,7 @@ from padaug.model import (
 )
 from padaug.seeding import child_seed, make_rng
 from padaug.synth import build_corpus, make_speaker, synth_utterance
-from padaug.testset import TestVariant, apply_variant
+from padaug.testset import TestVariant, apply_variant, ratio_sweep
 from padaug.vad import VadConfig, detect
 
 from test_metrics import brute_force, mk
@@ -158,18 +157,14 @@ def experiment(tmp_path_factory):
     waves = dict(zip(ts.utt_ids, ts.waveforms))
     eers = {}
     t_eval = {}
-    for k in range(9):
-        tk = time.monotonic()
-        stores = {name: {} for name in models}
-        for utt, w in waves.items():
-            rng = make_rng(child_seed(SEED + 1, utt))
-            padded = apply_variant(w, TestVariant("ratio", k_seconds=k), rng)
-            feats = cmn(fbank(padded))
-            for name, model in models.items():
-                stores[name][utt] = forward(model, feats)
-        for name in models:
-            eers[name, k] = det_metrics(score_trials(trials, stores[name]), trials.is_target).eer
+    tk = time.monotonic()
+    for k, rows in ratio_sweep(records, trials, list(models.items()), root / "sweep", SEED + 1):
         t_eval[k] = time.monotonic() - tk
+        for name, m in rows:
+            eers[name, k] = m.eer
+        # One padded set on disk at a time: the full sweep is ~2 GB of WAVs.
+        shutil.rmtree(root / "sweep" / f"ratio{k}")
+        tk = time.monotonic()
     return {"eers": eers, "t_train": t_train, "t_eval": t_eval,
             "waves": waves, "models": models}
 

@@ -3,9 +3,9 @@ import sys
 import numpy as np
 import pytest
 
-import padaug.cli
 import padaug.features
 import padaug.model
+import padaug.testset
 from padaug.audio_io import Waveform, read_wav, write_wav
 from padaug.cli import main
 from padaug.features import read_feature_dump
@@ -187,7 +187,7 @@ def test_sweep_cmd(tmp_path, capsys, monkeypatch):
         calls.append(1)
         return padaug.features.fbank(*args, **kwargs)
 
-    for mod in (padaug.cli, padaug.model):
+    for mod in (padaug.testset, padaug.model):
         monkeypatch.setattr(mod, "fbank", counting_fbank)
     out = tmp_path / "sweep.tsv"
     rc = main(argv + ["--out", str(out)])
@@ -226,23 +226,37 @@ def test_sweep_identical_at_any_thread_count(tmp_path, monkeypatch):
     assert serial == parallel
 
 
-PER_RECORD_ARGV = {
-    "augment": (["--mode", "hmt", "--seed", "5"], 6 + 1),
-    "vad": (["--mask-out", "{out}/masks.txt"], 6 + 2),
-    "build-testset": (["--variant", "ratio", "--k", "2", "--placement", "per-layout", "--seed", "3"], 6 + 1),
-    "train": (["--augment", "ht", "--steps", "3", "--warmup-steps", "1", "--batch-size", "4",
-               "--hidden-dim", "8", "--embed-dim", "4", "--chunk-frames", "50",
-               "--log", "{out}/log.tsv", "--seed", "21"], 3),
+@pytest.fixture(scope="module")
+def model_file(tmp_path_factory):
+    """An untrained 2-speaker model on disk."""
+    path = tmp_path_factory.mktemp("model") / "m.bin"
+    save_model(init_model(ToyModelConfig(n_speakers=2, hidden_dim=8, embed_dim=4,
+                                         warmup_steps=1, total_steps=10, seed=0)), path)
+    return path
+
+
+# Every subcommand besides sweep (tested above) that runs records through
+# worker_map: its arguments (split on spaces, then formatted) and the number
+# of files it writes.
+THREADED_ARGV = {
+    "augment": ("--manifest {corpus}/manifest.tsv --out {out} --mode hmt --seed 5", 6 + 1),
+    "build-testset": ("--manifest {corpus}/manifest.tsv --out {out} --variant ratio --k 2 "
+                      "--placement per-layout --seed 3", 6 + 1),
+    "embed": ("--manifest {corpus}/manifest.tsv --model {model} --out {out}/emb.bin", 2),
+    "featurize": ("--manifest {corpus}/manifest.tsv --out {out}/feats.bin --cmn --dither 0.1 --seed 4", 2),
+    "synth": ("--out {out} --n-speakers 2 --n-utts 3 --duration 1.0 --seed 21", 6 + 2),
+    "train": ("--manifest {corpus}/manifest.tsv --out {out}/m.bin --augment ht --steps 3 --warmup-steps 1 "
+              "--batch-size 4 --hidden-dim 8 --embed-dim 4 --chunk-frames 50 --log {out}/log.tsv --seed 21", 3),
+    "vad": ("--manifest {corpus}/manifest.tsv --out {out} --mask-out {out}/masks.txt", 6 + 2),
 }
 
 
-@pytest.mark.parametrize("command", sorted(PER_RECORD_ARGV))
-def test_identical_at_any_thread_count(corpus, tmp_path, monkeypatch, command):
-    extra, n_files = PER_RECORD_ARGV[command]
+@pytest.mark.parametrize("command", sorted(THREADED_ARGV))
+def test_identical_at_any_thread_count(corpus, model_file, tmp_path, monkeypatch, command):
+    template, n_files = THREADED_ARGV[command]
 
     def argv_for(out):
-        dst = out / "m.bin" if command == "train" else out
-        return [command, "--manifest", corpus / "manifest.tsv", "--out", dst] + [a.format(out=out) for a in extra]
+        return [command] + [a.format(corpus=corpus, out=out, model=model_file) for a in template.split()]
 
     serial, parallel = trees_at_thread_counts(tmp_path, monkeypatch, argv_for)
     assert len(serial) == n_files
@@ -273,6 +287,16 @@ def test_vad_masks_under_thread_contention(corpus, tmp_path, monkeypatch):
         sys.setswitchinterval(interval)
     assert len(serial.splitlines()) == len(records)
     assert contended == serial
+
+
+def test_escaping_utt_id_writes_nothing_outside_out(corpus, tmp_path):
+    rec = read_manifest(corpus / "manifest.tsv")[0]
+    (tmp_path / "m.tsv").write_text(f"../../escaped\t{rec.speaker_id}\t{rec.wav_path}\t{rec.num_samples}\t16000\n")
+    before = sorted(tmp_path.rglob("*"))
+    out = tmp_path / "out" / "sub"
+    assert main(["build-testset", "--manifest", str(tmp_path / "m.tsv"), "--out", str(out),
+                 "--variant", "original", "--seed", "1"]) == 1
+    assert [p for p in sorted(tmp_path.rglob("*")) if out not in (p, *p.parents)] == before
 
 
 def test_empty_wav_error_names_utterance(tmp_path, capsys):
@@ -339,6 +363,9 @@ def test_exit_codes(tmp_path, corpus):
                "--trials", str(corpus / "trials.txt"), "--model", "nopath",
                "--out", str(tmp_path / "s.tsv"), "--seed", "1"])
     assert rc == 1  # --model wants NAME=PATH
+    (tmp_path / "bad_scores.txt").write_text("x z abc\n")
+    rc = main(["eval", "--trials", str(corpus / "trials.txt"), "--scores", str(tmp_path / "bad_scores.txt")])
+    assert rc == 1  # a score that is not a number
     rc = main(["train", "--manifest", str(corpus / "manifest.tsv"), "--out", str(tmp_path / "m.bin"),
                "--steps", "2", "--warmup-steps", "1", "--batch-size", "8", "--seed", "1"])
     assert rc == 1  # 6 utterances, fewer than one batch

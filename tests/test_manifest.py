@@ -1,7 +1,11 @@
+import re
+
+import numpy as np
 import pytest
 
 from padaug.errors import CorruptHeaderError, InvalidConfigError
-from padaug.manifest import UtteranceRecord, read_manifest, write_manifest
+from padaug.features import FeatureMatrix, write_feature_dump
+from padaug.manifest import UtteranceRecord, check_utt_id, read_manifest, write_manifest
 
 
 def recs(base):
@@ -67,3 +71,22 @@ def test_blank_lines_skipped(tmp_path):
     p = tmp_path / "m.tsv"
     p.write_text("u\ts\tw.wav\t10\t16000\n\n")
     assert len(read_manifest(p)) == 1
+
+
+BAD_UTT_IDS = {"empty": "", "space": "b c", "dotdot": "../../escaped", "slash": "dir/u1"}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_UTT_IDS))
+def test_bad_utt_id_rejected_everywhere(tmp_path, case):
+    utt_id = BAD_UTT_IDS[case]
+    with pytest.raises(InvalidConfigError):
+        check_utt_id(utt_id)
+    p = tmp_path / "m.tsv"
+    p.write_text(f"u0\ts\tw.wav\t1\t16000\n{utt_id}\ts\tw.wav\t1\t16000\n")
+    with pytest.raises(CorruptHeaderError, match=re.escape(f"{p}:2: ")):
+        read_manifest(p)
+    with pytest.raises(InvalidConfigError):
+        write_manifest([UtteranceRecord(utt_id, "s", str(tmp_path / "w.wav"), 1, 16000)], tmp_path / "out.tsv")
+    assert not (tmp_path / "out.tsv").exists()
+    with pytest.raises(InvalidConfigError):
+        write_feature_dump(tmp_path / "f.bin", [(utt_id, FeatureMatrix(np.zeros((1, 2))))])

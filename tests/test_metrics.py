@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -284,6 +285,13 @@ def test_scores_file_missing_trial(tmp_path):
     write_scores(Trials(("a",), ("b",), (True,)), np.array([0.5]), p)
     with pytest.raises(MissingEmbeddingError):
         read_scores(p, Trials(("a",), ("zzz",), (False,)))
+
+
+def test_scores_file_non_numeric_score(tmp_path):
+    p = tmp_path / "scores.txt"
+    p.write_text("a b 0.5\nx z abc\n")
+    with pytest.raises(InvalidLabelError, match=re.escape(f"{p}:2: ")):
+        read_scores(p, Trials(("a", "x"), ("b", "z"), (True, False)))
 
 
 def test_report_format():
