@@ -158,19 +158,27 @@ def _index_path(path) -> Path:
 
 
 def write_feature_dump(path, items) -> None:
-    """Write (utt_id, FeatureMatrix) pairs plus the sidecar index."""
+    """Write (utt_id, FeatureMatrix) pairs plus the sidecar index, through
+    temporary siblings moved into place only once every entry is written."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    tmp_bin, tmp_idx = Path(f"{path}.tmp"), Path(f"{_index_path(path)}.tmp")
     index_lines = []
-    with open(path, "wb") as f:
-        for utt_id, mat in items:
-            check_utt_id(utt_id)
-            index_lines.append(f"{utt_id}\t{f.tell()}\n")
-            f.write(FEATURE_MAGIC)
-            f.write(struct.pack("<ii", mat.frames, mat.dims))
-            f.write(mat.values.astype("<f4").tobytes(order="C"))
-    with open(_index_path(path), "w", encoding="utf-8") as f:
-        f.writelines(index_lines)
+    try:
+        with open(tmp_bin, "wb") as f:
+            for utt_id, mat in items:
+                check_utt_id(utt_id)
+                index_lines.append(f"{utt_id}\t{f.tell()}\n")
+                f.write(FEATURE_MAGIC)
+                f.write(struct.pack("<ii", mat.frames, mat.dims))
+                f.write(mat.values.astype("<f4").tobytes(order="C"))
+        tmp_idx.write_text("".join(index_lines), encoding="utf-8")
+    except BaseException:
+        tmp_bin.unlink(missing_ok=True)
+        tmp_idx.unlink(missing_ok=True)
+        raise
+    os.replace(tmp_bin, path)
+    os.replace(tmp_idx, _index_path(path))
 
 
 def _read_entry(f, file_size: int) -> FeatureMatrix:

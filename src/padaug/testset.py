@@ -1,12 +1,14 @@
 """Evaluation test-set construction.
 
-Variants: the originals untouched, random 3 s chunks, chunks padded with
-fixed 1 s noise segments (head+tail, optionally +mid), and a ratio sweep
-where a 3 s chunk gets k in [0, 8] extra seconds of padding
-(ratio_sweep builds every k and scores models on each). Padding
-"silence" is white Gaussian noise at a fixed SNR (default 25 dB) so the
-padded regions resemble a quiet recording floor; digital zeros are
-available by passing snr_db=None.
+Every variant but the untouched original is a random 3 s chunk padded
+with k in [0, 8] extra seconds by build_ratio, under one of three
+placements (head-tail, random head/tail split, or head-mid-tail). The
+named variants are aliases: chunk3s is k=0, chunk3s-ht is 1 s at head and
+tail (k=2), chunk3s-hmt is 1 s at head, mid and tail (k=3). ratio_sweep
+builds every k and scores models on each. Padding "silence" is white
+Gaussian noise at a fixed SNR (default 25 dB) so the padded regions
+resemble a quiet recording floor; digital zeros are available by passing
+snr_db=None.
 
 Per-utterance randomness is derived from (seed, utt_id), never from
 manifest position, so rebuilding a subset or reordering the manifest
@@ -34,8 +36,14 @@ CHUNK_SECONDS = 3.0
 TEST_SNR_DB = 25.0
 MAX_RATIO_SECONDS = 8
 
-VARIANT_KINDS = ("original", "chunk3s", "chunk3s-ht", "chunk3s-hmt", "ratio")
-PLACEMENTS = ("head-tail-even", "per-layout")
+# Named variants as (k_seconds, placement) of build_ratio.
+NAMED_VARIANTS = {
+    "chunk3s": (0, "head-tail-even"),
+    "chunk3s-ht": (2, "head-tail-even"),
+    "chunk3s-hmt": (3, "head-mid-tail-even"),
+}
+VARIANT_KINDS = ("original", *NAMED_VARIANTS, "ratio")
+PLACEMENTS = ("head-tail-even", "per-layout", "head-mid-tail-even")
 
 
 @dataclass(frozen=True)
@@ -58,13 +66,6 @@ class TestVariant:
         return self.kind
 
 
-def _noise(chunk: Waveform, n_len: int, snr_db, rng: Rng) -> Waveform:
-    # snr_db=None selects digital-zero padding.
-    if snr_db is None:
-        return Waveform(np.zeros(n_len), chunk.sample_rate_hz)
-    return wgn_like(chunk, snr_db, n_len, rng)
-
-
 def build_chunk3s(w: Waveform, rng: Rng, from_start: bool = False) -> Waveform:
     """Random contiguous 3 s chunk; shorter inputs are loop-padded first."""
     if len(w) == 0:
@@ -76,36 +77,14 @@ def build_chunk3s(w: Waveform, rng: Rng, from_start: bool = False) -> Waveform:
     return random_chunk(padded, t_s, rng)
 
 
-def pad_fixed(w3s: Waveform, head_s: float, tail_s: float, mid_s: float, snr_db, rng: Rng) -> Waveform:
-    """Pad with fixed-duration noise at head/tail and optionally mid.
-
-    Mid padding is inserted at a uniform split point strictly inside the
-    speech, so it always interrupts the chunk rather than abutting the
-    head or tail noise.
-    """
-    if min(head_s, tail_s, mid_s) < 0:
-        raise InvalidConfigError("negative padding duration")
-    sr = w3s.sample_rate_hz
-    l_head = round(head_s * sr)
-    l_mid = round(mid_s * sr)
-    l_tail = round(tail_s * sr)
-    t_s = len(w3s)
-    if l_mid > 0:
-        if t_s < 2:
-            raise LengthMismatchError(f"speech of {t_s} samples has no interior for mid padding")
-        p_mid = randint(rng, 1, t_s - 1)
-    else:
-        p_mid = 0
-    layout = PaddingLayout(t_s=t_s, l_head=l_head, l_mid=l_mid, l_tail=l_tail, p_mid=p_mid, snr_db=0.0 if snr_db is None else snr_db)
-    return assemble(w3s, layout, _noise(w3s, layout.l_pad, snr_db, rng))
-
-
 def build_ratio(w3s: Waveform, k_seconds: int, placement: str, snr_db, rng: Rng) -> Waveform:
     """Pad a 3 s chunk with k extra seconds of noise.
 
     head-tail-even splits k evenly between head and tail (odd sample
     remainder goes to the tail); per-layout draws a random head/tail
-    split of the same total.
+    split of the same total; head-mid-tail-even puts a third at the head
+    and a third at a uniform split point strictly inside the speech, so
+    it always interrupts the chunk, and the rest at the tail.
     """
     if not 0 <= k_seconds <= MAX_RATIO_SECONDS:
         raise InvalidRatioError(f"k_seconds must be in [0, {MAX_RATIO_SECONDS}], got {k_seconds}")
@@ -114,28 +93,30 @@ def build_ratio(w3s: Waveform, k_seconds: int, placement: str, snr_db, rng: Rng)
     l_pad = round(k_seconds * w3s.sample_rate_hz)
     if l_pad == 0:
         return w3s
+    t_s = len(w3s)
+    l_mid = p_mid = 0
     if placement == "head-tail-even":
         l_head = l_pad // 2
-    else:
+    elif placement == "per-layout":
         l_head = randint(rng, 0, l_pad)
+    else:
+        if t_s < 2:
+            raise LengthMismatchError(f"speech of {t_s} samples has no interior for mid padding")
+        l_head = l_mid = l_pad // 3
+        p_mid = randint(rng, 1, t_s - 1)
     layout = PaddingLayout(
-        t_s=len(w3s), l_head=l_head, l_mid=0, l_tail=l_pad - l_head, p_mid=0, snr_db=0.0 if snr_db is None else snr_db
+        t_s=t_s, l_head=l_head, l_mid=l_mid, l_tail=l_pad - l_head - l_mid, p_mid=p_mid, snr_db=0.0 if snr_db is None else snr_db
     )
-    return assemble(w3s, layout, _noise(w3s, l_pad, snr_db, rng))
+    noise = Waveform(np.zeros(l_pad), w3s.sample_rate_hz) if snr_db is None else wgn_like(w3s, snr_db, l_pad, rng)
+    return assemble(w3s, layout, noise)
 
 
 def apply_variant(w: Waveform, variant: TestVariant, rng: Rng, snr_db=TEST_SNR_DB, from_start: bool = False) -> Waveform:
     """Apply one test variant to one waveform."""
     if variant.kind == "original":
         return w
-    chunk = build_chunk3s(w, rng, from_start=from_start)
-    if variant.kind == "chunk3s":
-        return chunk
-    if variant.kind == "chunk3s-ht":
-        return pad_fixed(chunk, 1.0, 1.0, 0.0, snr_db, rng)
-    if variant.kind == "chunk3s-hmt":
-        return pad_fixed(chunk, 1.0, 1.0, 1.0, snr_db, rng)
-    return build_ratio(chunk, variant.k_seconds, variant.placement, snr_db, rng)
+    k_seconds, placement = NAMED_VARIANTS.get(variant.kind, (variant.k_seconds, variant.placement))
+    return build_ratio(build_chunk3s(w, rng, from_start=from_start), k_seconds, placement, snr_db, rng)
 
 
 def build_testset(

@@ -68,6 +68,15 @@ def test_build_testset_cmd(corpus, tmp_path):
     for r in read_manifest(tmp_path / "ht" / "manifest.tsv"):
         assert r.num_samples == 80000
 
+    # chunk3s-hmt is an alias of ratio k=3 under head-mid-tail-even
+    for out, variant in (("hmt", ["chunk3s-hmt"]), ("r3", ["ratio", "--k", "3", "--placement", "head-mid-tail-even"])):
+        rc = main(["build-testset", "--manifest", str(corpus / "manifest.tsv"),
+                   "--out", str(tmp_path / out), "--seed", "2", "--variant"] + variant)
+        assert rc == 0
+    for r in read_manifest(tmp_path / "hmt" / "manifest.tsv"):
+        assert r.num_samples == 96000
+        assert (tmp_path / "r3" / f"{r.utt_id}.wav").read_bytes() == (tmp_path / "hmt" / f"{r.utt_id}.wav").read_bytes()
+
 
 def test_build_testset_zero_pad(corpus, tmp_path):
     rc = main(["build-testset", "--manifest", str(corpus / "manifest.tsv"),
@@ -205,6 +214,11 @@ def test_sweep_cmd(tmp_path, capsys, monkeypatch):
         assert 0.0 <= float(eer_s) <= 1.0
         assert 0.0 <= float(dcf_s) <= 1.0
     assert (tmp_path / "sweep.tsv.work" / "ratio8").is_dir()
+
+    hmt = tmp_path / "hmt.tsv"
+    assert main(argv + ["--out", str(hmt), "--placement", "head-mid-tail-even"]) == 0
+    names = [line.split("\t")[0] for line in hmt.read_text().splitlines()[1:]]
+    assert sorted(names) == ["sysA"] * 9 + ["sysB"] * 9
 
 
 def trees_at_thread_counts(tmp_path, monkeypatch, argv_for):

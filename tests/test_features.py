@@ -173,6 +173,16 @@ def test_dump_corruption_detected(tmp_path):
         read_feature_dump(path)
 
 
+def test_failed_dump_rewrite_keeps_old_dump(tmp_path):
+    path = tmp_path / "f.bin"
+    write_feature_dump(path, [("a", FeatureMatrix(np.ones((2, 2))))])
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(InvalidConfigError):
+        write_feature_dump(path, [("a", FeatureMatrix(np.zeros((3, 2)))), ("b c", FeatureMatrix(np.zeros((1, 2))))])
+    # the old .bin and .idx untouched, no temporary file left behind
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 @pytest.mark.parametrize(
     "blob, index",
     [

@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padaug.audio_io import Waveform, read_wav, write_wav
-from padaug.errors import EmptyInputError, InvalidConfigError, InvalidRatioError
+from padaug.augment import PaddingLayout, assemble, wgn_like
+from padaug.errors import EmptyInputError, InvalidConfigError, InvalidRatioError, LengthMismatchError
 from padaug.manifest import UtteranceRecord, read_manifest
-from padaug.seeding import make_rng
+from padaug.seeding import make_rng, randint
 from padaug.testset import (
+    MAX_RATIO_SECONDS,
+    PLACEMENTS,
     TestVariant,
     apply_variant,
     build_chunk3s,
     build_ratio,
     build_testset,
-    pad_fixed,
 )
 
 SR = 16000
@@ -48,21 +52,63 @@ def test_chunk3s_deterministic_and_from_start():
         build_chunk3s(Waveform(np.zeros(0), SR), make_rng(0))
 
 
+def pad_fixed_ref(w3s, head_s, tail_s, mid_s, snr_db, rng):
+    """Fixed-duration head/tail(/mid) padding, the builder build_ratio
+    replaced; kept as the oracle for the named variants."""
+    if min(head_s, tail_s, mid_s) < 0:
+        raise InvalidConfigError("negative padding duration")
+    sr = w3s.sample_rate_hz
+    l_head = round(head_s * sr)
+    l_mid = round(mid_s * sr)
+    l_tail = round(tail_s * sr)
+    t_s = len(w3s)
+    if l_mid > 0:
+        if t_s < 2:
+            raise LengthMismatchError(f"speech of {t_s} samples has no interior for mid padding")
+        p_mid = randint(rng, 1, t_s - 1)
+    else:
+        p_mid = 0
+    layout = PaddingLayout(t_s=t_s, l_head=l_head, l_mid=l_mid, l_tail=l_tail, p_mid=p_mid, snr_db=0.0 if snr_db is None else snr_db)
+    noise = Waveform(np.zeros(layout.l_pad), sr) if snr_db is None else wgn_like(w3s, snr_db, layout.l_pad, rng)
+    return assemble(w3s, layout, noise)
+
+
+@pytest.mark.parametrize("from_start", [False, True])
+@pytest.mark.parametrize("snr_db", [25.0, None])
+@pytest.mark.parametrize("seed", range(4))
+def test_build_ratio_matches_fixed_padding_oracle(seed, snr_db, from_start):
+    # chunk3s-ht is k=2 head-tail-even and chunk3s-hmt is k=3
+    # head-mid-tail-even, drawing from the chunk's rng in the same order.
+    # from_start skips the chunk-offset draw, which otherwise leaves half a
+    # 64-bit word buffered that the split point consumes without advancing
+    # the noise stream.
+    x = speech(5 * SR, seed=seed)
+    for k, placement, mid_s in ((2, "head-tail-even", 0), (3, "head-mid-tail-even", 1)):
+        rng_new, rng_ref = make_rng(100 + seed), make_rng(100 + seed)
+        new = build_ratio(build_chunk3s(x, rng_new, from_start), k, placement, snr_db, rng_new)
+        ref = pad_fixed_ref(build_chunk3s(x, rng_ref, from_start), 1, 1, mid_s, snr_db, rng_ref)
+        assert np.array_equal(new.samples, ref.samples)
+
+
 def test_pad_fixed_lengths():
     c = build_chunk3s(speech(5 * SR), make_rng(5))
-    assert len(pad_fixed(c, 1.0, 1.0, 0.0, 25.0, make_rng(6))) == 80000
-    assert len(pad_fixed(c, 1.0, 1.0, 1.0, 25.0, make_rng(6))) == 96000
-    out = pad_fixed(c, 0.0, 0.0, 0.0, 25.0, make_rng(6))
+    assert len(build_ratio(c, 2, "head-tail-even", 25.0, make_rng(6))) == 80000
+    assert len(build_ratio(c, 3, "head-mid-tail-even", 25.0, make_rng(6))) == 96000
+    out = build_ratio(c, 0, "head-mid-tail-even", 25.0, make_rng(6))
     assert np.array_equal(out.samples, c.samples)
+
+
+def nonzero_speech(n, seed):
+    c = speech(n, seed=seed)
+    return Waveform(np.where(np.abs(c.samples) < 1e-3, 1e-3, c.samples), SR)  # no accidental zeros
 
 
 def test_pad_fixed_mid_lands_inside_speech():
     # with zero padding the mid segment must interrupt the speech, never
     # abut the head or tail noise
-    c = speech(3 * SR, seed=7)
-    c = Waveform(np.where(np.abs(c.samples) < 1e-3, 1e-3, c.samples), SR)  # no accidental zeros
+    c = nonzero_speech(3 * SR, seed=7)
     for trial in range(10):
-        out = pad_fixed(c, 1.0, 1.0, 1.0, None, make_rng(trial))
+        out = build_ratio(c, 3, "head-mid-tail-even", None, make_rng(trial))
         zero = out.samples == 0.0
         # head and tail seconds are zeros, and one zero run sits strictly inside
         assert zero[:SR].all() and zero[-SR:].all()
@@ -72,12 +118,27 @@ def test_pad_fixed_mid_lands_inside_speech():
         start, end = edges[0] + 1, edges[1] + 1
         assert 0 < start and end < len(interior)
         assert end - start == SR
+    with pytest.raises(LengthMismatchError):
+        build_ratio(Waveform(np.ones(1), SR), 1, "head-mid-tail-even", None, make_rng(0))
 
 
-def test_pad_fixed_validation():
-    c = speech(3 * SR)
-    with pytest.raises(InvalidConfigError):
-        pad_fixed(c, -1.0, 0.0, 0.0, 25.0, make_rng(0))
+NONZERO_CHUNK = nonzero_speech(3 * SR, seed=8)
+
+
+@settings(max_examples=50, deadline=None)
+@given(k=st.integers(0, MAX_RATIO_SECONDS), placement=st.sampled_from(PLACEMENTS), seed=st.integers(0, 2**64 - 1))
+def test_build_ratio_placement_properties(k, placement, seed):
+    out = build_ratio(NONZERO_CHUNK, k, placement, None, make_rng(seed)).samples
+    zero = out == 0.0
+    assert len(out) == (3 + k) * SR
+    assert np.array_equal(out[~zero], NONZERO_CHUNK.samples)
+    assert zero.sum() == k * SR
+    if placement == "head-mid-tail-even" and k >= 1:
+        speech_at = np.flatnonzero(~zero)
+        inside = zero[speech_at[0] : speech_at[-1] + 1]
+        edges = np.flatnonzero(np.diff(inside.astype(int)))
+        assert len(edges) == 2  # exactly one zero run strictly inside the speech
+        assert edges[1] - edges[0] == (k * SR) // 3
 
 
 def test_build_ratio_lengths_and_split():
