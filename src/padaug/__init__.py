@@ -12,11 +12,11 @@ from .augment import (
     pad_aug_utterance,
 )
 from .errors import PadAugError
-from .features import FbankConfig, FeatureMatrix, cmn, fbank
+from .features import FeatureMatrix, cmn, fbank
 from .metrics import DetMetrics, Trials, det_metrics, eer, min_dcf, score_trials
 from .model import ToyModel, ToyModelConfig, forward, train
 from .synth import build_corpus, make_speaker, synth_utterance
-from .testset import TestVariant, build_testset, ratio_sweep
+from .testset import build_testset, ratio_sweep
 from .vad import SpeechMask, VadConfig, detect, drop_silence
 
 __version__ = "0.1.0"
@@ -24,13 +24,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AugmentedUtterance",
     "DetMetrics",
-    "FbankConfig",
     "FeatureMatrix",
     "PadAugConfig",
     "PadAugError",
     "PaddingLayout",
     "SpeechMask",
-    "TestVariant",
     "ToyModel",
     "ToyModelConfig",
     "Trials",

@@ -19,14 +19,14 @@ from pathlib import Path
 
 from .audio_io import read_wav
 from .augment import PadAugConfig, pad_aug_utterance
-from .errors import InvalidConfigError, PadAugError
-from .features import FbankConfig, FeatureMatrix, cmn, fbank, read_feature_dump, write_feature_dump
+from .errors import InvalidConfigError, PadAugError, read_text
+from .features import N_MELS, FeatureMatrix, cmn, fbank, read_feature_dump, write_feature_dump
 from .manifest import map_wavs, read_manifest
 from .metrics import det_metrics, format_report, read_scores, read_trials, score_trials, write_scores
 from .model import ToyModelConfig, embed_utterance, load_model, load_training_set, save_model, train
 from .seeding import child_seed, make_rng
 from .synth import build_corpus
-from .testset import PLACEMENTS, TEST_SNR_DB, VARIANT_KINDS, TestVariant, build_testset, ratio_sweep
+from .testset import NAMED_VARIANTS, PLACEMENTS, TEST_SNR_DB, VARIANT_KINDS, build_testset, ratio_sweep
 from .vad import VadConfig, detect, drop_silence, write_mask_dump
 from .workers import worker_count, worker_map
 
@@ -38,7 +38,7 @@ def _log_config(args) -> None:
 
 def _load_config_tokens(path) -> list:
     tokens = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -104,23 +104,26 @@ def _cmd_augment(args) -> int:
 
 
 def _cmd_build_testset(args) -> int:
-    variant = TestVariant(kind=args.variant, k_seconds=args.k, placement=args.placement)
     records = read_manifest(args.manifest)
-    snr = None if args.zero_pad else args.snr_db
-    new_records = build_testset(records, variant, args.out, args.seed, snr_db=snr, from_start=args.from_start)
-    print(f"built {variant.tag()} with {len(new_records)} utterances under {args.out}")
+    if args.variant == "original":
+        new_records = map_wavs(records, args.out, lambda rec, w: w)
+    else:
+        k, placement = NAMED_VARIANTS.get(args.variant, (args.k, args.placement))
+        snr = None if args.zero_pad else args.snr_db
+        new_records = build_testset(records, args.out, args.seed, k, placement, snr, args.from_start)
+    tag = f"ratio{args.k}" if args.variant == "ratio" else args.variant
+    print(f"built {tag} with {len(new_records)} utterances under {args.out}")
     return 0
 
 
 def _cmd_featurize(args) -> int:
     records = read_manifest(args.manifest)
-    cfg = FbankConfig(n_mels=args.n_mels, dither=args.dither)
-    if cfg.dither > 0.0 and args.seed is None:
+    if args.dither > 0.0 and args.seed is None:
         raise InvalidConfigError("--dither requires --seed")
 
     def one(rec):
-        rng = make_rng(child_seed(args.seed, rec.utt_id)) if cfg.dither > 0.0 else None
-        feats = fbank(read_wav(rec.wav_path), cfg, rng)
+        rng = make_rng(child_seed(args.seed, rec.utt_id)) if args.dither > 0.0 else None
+        feats = fbank(read_wav(rec.wav_path), args.n_mels, args.dither, rng)
         return rec.utt_id, cmn(feats) if args.cmn else feats
 
     write_feature_dump(args.out, worker_map(one, records))
@@ -296,7 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("featurize", _cmd_featurize, "extract log-Mel features to a binary dump")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--n-mels", type=int, default=80)
+    p.add_argument("--n-mels", type=int, default=N_MELS)
     p.add_argument("--cmn", action="store_true", help="apply utterance-level mean normalization")
     p.add_argument("--dither", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=None)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the UTF-8 text reader
+that turns undecodable bytes into one of them."""
+
+from pathlib import Path
 
 
 class PadAugError(Exception):
@@ -6,7 +9,7 @@ class PadAugError(Exception):
 
 
 class CorruptHeaderError(PadAugError):
-    """WAV container is malformed or truncated."""
+    """A WAV, manifest, dump or other input file is malformed or truncated."""
 
 
 class UnsupportedFormatError(PadAugError):
@@ -67,3 +70,13 @@ class MissingEmbeddingError(PadAugError, KeyError):
 
 class DatasetTooSmallError(PadAugError):
     """Training set does not contain enough speakers or utterances."""
+
+
+def read_text(path) -> str:
+    """The file's contents as UTF-8 text with universal newlines, as
+    open(path, encoding="utf-8") reads it; bytes that are not UTF-8 raise
+    CorruptHeaderError naming the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise CorruptHeaderError(f"{path}: not UTF-8 text (byte {e.start}: {e.object[e.start:e.end]!r})") from e

@@ -3,7 +3,7 @@
 Pipeline per frame: pre-emphasis (first sample of the utterance kept as
 is), Hamming window, magnitude-squared FFT, triangular Mel filterbank on
 the HTK mel scale spanning 0 to Nyquist, then a natural log with the
-energy floored at log_floor. The floor is a max(), not an addend, so
+energy floored at LOG_FLOOR. The floor is a max(), not an addend, so
 scaling a waveform by c shifts every above-floor output by exactly
 2*ln(c).
 """
@@ -16,43 +16,20 @@ from pathlib import Path
 import numpy as np
 
 from .audio_io import Waveform
-from .errors import CorruptHeaderError, InvalidConfigError, TooShortError
+from .errors import CorruptHeaderError, InvalidConfigError, TooShortError, read_text
 from .manifest import check_utt_id
 from .seeding import Rng, randint
 
 FEATURE_MAGIC = b"FBK1"
 
 
-@dataclass(frozen=True)
-class FbankConfig:
-    n_mels: int = 80
-    win_ms: float = 25.0
-    hop_ms: float = 10.0
-    preemphasis: float = 0.97
-    log_floor: float = 1e-10
-    dither: float = 0.0  # stddev of optional pre-FFT noise, 0 = off
-
-    def __post_init__(self):
-        if self.n_mels < 1:
-            raise InvalidConfigError(f"n_mels must be >= 1, got {self.n_mels}")
-        if not 0.0 <= self.preemphasis < 1.0:
-            raise InvalidConfigError(f"preemphasis must be in [0, 1), got {self.preemphasis}")
-        if self.log_floor <= 0.0:
-            raise InvalidConfigError(f"log_floor must be positive, got {self.log_floor}")
-        if self.win_ms <= 0 or self.hop_ms <= 0:
-            raise InvalidConfigError("window and hop must be positive")
-
-    def win_samples(self, sr: int) -> int:
-        return round(self.win_ms * sr / 1000.0)
-
-    def hop_samples(self, sr: int) -> int:
-        return round(self.hop_ms * sr / 1000.0)
-
-    def fft_size(self, sr: int) -> int:
-        n = 1
-        while n < self.win_samples(sr):
-            n *= 2
-        return n
+# The front end is fixed; only the number of Mel bands and the dither
+# level are settable.
+N_MELS = 80
+WIN_MS = 25.0
+HOP_MS = 10.0
+PREEMPHASIS = 0.97
+LOG_FLOOR = 1e-10
 
 
 @dataclass
@@ -101,31 +78,34 @@ def frame_count(num_samples: int, win: int, hop: int) -> int:
     return 1 + (num_samples - win) // hop
 
 
-def fbank(w: Waveform, cfg: FbankConfig = FbankConfig(), rng: Rng | None = None) -> FeatureMatrix:
-    """Log-Mel features; frames = 1 + floor((len - win) / hop)."""
+def fbank(w: Waveform, n_mels: int = N_MELS, dither: float = 0.0, rng: Rng | None = None) -> FeatureMatrix:
+    """Log-Mel features; frames = 1 + floor((len - win) / hop). dither is
+    the stddev of optional pre-FFT noise drawn from rng, 0 = off."""
+    if n_mels < 1:
+        raise InvalidConfigError(f"n_mels must be >= 1, got {n_mels}")
     sr = w.sample_rate_hz
-    win = cfg.win_samples(sr)
-    hop = cfg.hop_samples(sr)
+    win = round(WIN_MS * sr / 1000.0)
+    hop = round(HOP_MS * sr / 1000.0)
     if len(w) < win:
         raise TooShortError(f"need at least {win} samples, got {len(w)}")
     x = w.samples
-    if cfg.dither > 0.0:
+    if dither > 0.0:
         if rng is None:
             raise InvalidConfigError("dither requires an rng")
-        x = x + cfg.dither * rng.standard_normal(len(x))
+        x = x + dither * rng.standard_normal(len(x))
     # Pre-emphasis over the whole signal; frames then share boundary context.
     pre = np.empty_like(x)
     pre[0] = x[0]
-    pre[1:] = x[1:] - cfg.preemphasis * x[:-1]
+    pre[1:] = x[1:] - PREEMPHASIS * x[:-1]
 
     nf = frame_count(len(x), win, hop)
     idx = np.arange(win)[None, :] + hop * np.arange(nf)[:, None]
     frames = pre[idx] * np.hamming(win)
 
-    n_fft = cfg.fft_size(sr)
+    n_fft = 1 << (win - 1).bit_length()  # next power of two >= win
     power = np.abs(np.fft.rfft(frames, n=n_fft, axis=1)) ** 2
-    energies = power @ mel_filterbank(cfg.n_mels, n_fft, sr).T
-    out = np.log(np.maximum(energies, cfg.log_floor))
+    energies = power @ mel_filterbank(n_mels, n_fft, sr).T
+    out = np.log(np.maximum(energies, LOG_FLOOR))
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("non-finite filterbank output")
     return FeatureMatrix(out)
@@ -201,15 +181,13 @@ def _read_entry(f, file_size: int) -> FeatureMatrix:
 def read_feature_index(path):
     """Load the sidecar index as an ordered utt_id -> offset dict."""
     index = {}
-    with open(_index_path(path), "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            utt_id, _, off = line.partition("\t")
-            if not (off.isascii() and off.isdigit()):
-                raise CorruptHeaderError(f"{_index_path(path)}:{lineno}: expected <utt_id>\\t<offset>")
-            index[utt_id] = int(off)
+    for lineno, line in enumerate(read_text(_index_path(path)).split("\n"), start=1):
+        if not line:
+            continue
+        utt_id, _, off = line.partition("\t")
+        if not (off.isascii() and off.isdigit()):
+            raise CorruptHeaderError(f"{_index_path(path)}:{lineno}: expected <utt_id>\\t<offset>")
+        index[utt_id] = int(off)
     return index
 
 

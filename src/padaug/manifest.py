@@ -7,11 +7,13 @@ directory: `<utt_id>.wav` per record plus `manifest.tsv`.
 """
 
 import os
-from dataclasses import dataclass
+import shutil
+import tempfile
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .audio_io import read_wav, write_wav
-from .errors import CorruptHeaderError, InvalidConfigError, PadAugError
+from .errors import CorruptHeaderError, InvalidConfigError, PadAugError, read_text
 from .workers import worker_map
 
 _NUM_COLS = 5
@@ -68,38 +70,36 @@ def read_manifest(path):
     base = path.resolve().parent
     records = []
     seen = set()
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != _NUM_COLS:
-                raise CorruptHeaderError(f"{path}:{lineno}: expected {_NUM_COLS} columns, got {len(cols)}")
-            utt_id, speaker_id, rel, n, sr = cols
-            try:
-                check_utt_id(utt_id)
-            except InvalidConfigError as e:
-                raise CorruptHeaderError(f"{path}:{lineno}: {e}") from e
-            if utt_id in seen:
-                raise CorruptHeaderError(f"{path}:{lineno}: duplicate utt_id {utt_id!r}")
-            seen.add(utt_id)
-            try:
-                num_samples = int(n)
-                sample_rate = int(sr)
-            except ValueError as e:
-                raise CorruptHeaderError(f"{path}:{lineno}: non-integer size field") from e
-            if num_samples < 0 or sample_rate <= 0:
-                raise CorruptHeaderError(f"{path}:{lineno}: bad sizes ({num_samples}, {sample_rate})")
-            records.append(
-                UtteranceRecord(
-                    utt_id=utt_id,
-                    speaker_id=speaker_id,
-                    wav_path=str((base / rel).resolve()),
-                    num_samples=num_samples,
-                    sample_rate_hz=sample_rate,
-                )
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line:
+            continue
+        cols = line.split("\t")
+        if len(cols) != _NUM_COLS:
+            raise CorruptHeaderError(f"{path}:{lineno}: expected {_NUM_COLS} columns, got {len(cols)}")
+        utt_id, speaker_id, rel, n, sr = cols
+        try:
+            check_utt_id(utt_id)
+        except InvalidConfigError as e:
+            raise CorruptHeaderError(f"{path}:{lineno}: {e}") from e
+        if utt_id in seen:
+            raise CorruptHeaderError(f"{path}:{lineno}: duplicate utt_id {utt_id!r}")
+        seen.add(utt_id)
+        try:
+            num_samples = int(n)
+            sample_rate = int(sr)
+        except ValueError as e:
+            raise CorruptHeaderError(f"{path}:{lineno}: non-integer size field") from e
+        if num_samples < 0 or sample_rate <= 0:
+            raise CorruptHeaderError(f"{path}:{lineno}: bad sizes ({num_samples}, {sample_rate})")
+        records.append(
+            UtteranceRecord(
+                utt_id=utt_id,
+                speaker_id=speaker_id,
+                wav_path=str((base / rel).resolve()),
+                num_samples=num_samples,
+                sample_rate_hz=sample_rate,
             )
+        )
     return records
 
 
@@ -107,15 +107,19 @@ def map_wavs(records, out_dir, fn):
     """Write fn(rec, waveform) as out_dir/<utt_id>.wav for every record,
     plus out_dir/manifest.tsv; returns the new records in input order.
 
-    Records run through worker_map, so fn must derive any randomness from
-    the record itself. A PadAugError or OSError is re-raised with the
-    utterance id prefixed to its message.
+    All or nothing: the files are written into a temporary sibling of
+    out_dir and moved into out_dir, manifest last, only once every record
+    has succeeded. On failure only the temporary directory is removed, so
+    out_dir gains no file and loses none. Records run through worker_map,
+    so fn must derive any randomness from the record itself. A PadAugError
+    or OSError is re-raised with the utterance id prefixed to its message.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=out_dir.parent))
 
     def one(rec: UtteranceRecord) -> UtteranceRecord:
-        dst = out_dir / f"{rec.utt_id}.wav"
+        dst = staging / f"{rec.utt_id}.wav"
         try:
             out = fn(rec, read_wav(rec.wav_path))
             write_wav(out, dst)
@@ -123,6 +127,14 @@ def map_wavs(records, out_dir, fn):
             raise type(e)(f"utterance {rec.utt_id}: {e}") from e
         return UtteranceRecord(rec.utt_id, rec.speaker_id, str(dst), len(out), out.sample_rate_hz)
 
-    new_records = worker_map(one, records)
-    write_manifest(new_records, out_dir / "manifest.tsv")
+    try:
+        staged = worker_map(one, records)
+        write_manifest(staged, staging / "manifest.tsv")
+        out_dir.mkdir(exist_ok=True)
+        new_records = [replace(rec, wav_path=str(out_dir / f"{rec.utt_id}.wav")) for rec in staged]
+        for src, dst in zip(staged, new_records):
+            os.replace(src.wav_path, dst.wav_path)
+        os.replace(staging / "manifest.tsv", out_dir / "manifest.tsv")
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     return new_records

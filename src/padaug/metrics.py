@@ -28,6 +28,7 @@ from .errors import (
     InvalidLabelError,
     MissingEmbeddingError,
     ZeroNormError,
+    read_text,
 )
 
 
@@ -158,18 +159,17 @@ def write_trials(trials: Trials, path) -> None:
 
 def read_trials(path) -> Trials:
     enroll, test, is_target = [], [], []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 3:
-                raise InvalidLabelError(f"{path}:{lineno}: expected 'label enroll test'")
-            if parts[0] not in ("0", "1"):
-                raise InvalidLabelError(f"{path}:{lineno}: label must be 0 or 1, got {parts[0]!r}")
-            is_target.append(parts[0] == "1")
-            enroll.append(parts[1])
-            test.append(parts[2])
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 3:
+            raise InvalidLabelError(f"{path}:{lineno}: expected 'label enroll test'")
+        if parts[0] not in ("0", "1"):
+            raise InvalidLabelError(f"{path}:{lineno}: label must be 0 or 1, got {parts[0]!r}")
+        is_target.append(parts[0] == "1")
+        enroll.append(parts[1])
+        test.append(parts[2])
     return Trials(tuple(enroll), tuple(test), tuple(is_target))
 
 
@@ -185,17 +185,16 @@ def read_scores(path, trials: Trials) -> np.ndarray:
     """Join a score file against its trial list by (enroll, test) pair;
     returns the scores in trial order."""
     table = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 3:
-                raise InvalidLabelError(f"{path}:{lineno}: expected 'enroll test score'")
-            try:
-                table[(parts[0], parts[1])] = float(parts[2])
-            except ValueError as e:
-                raise InvalidLabelError(f"{path}:{lineno}: score {parts[2]!r} is not a number") from e
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 3:
+            raise InvalidLabelError(f"{path}:{lineno}: expected 'enroll test score'")
+        try:
+            table[(parts[0], parts[1])] = float(parts[2])
+        except ValueError as e:
+            raise InvalidLabelError(f"{path}:{lineno}: score {parts[2]!r} is not a number") from e
     out = np.empty(len(trials))
     for i, key in enumerate(zip(trials.enroll, trials.test)):
         if key not in table:

@@ -27,7 +27,7 @@ from .errors import (
     InvalidLabelError,
     TooFewFramesError,
 )
-from .features import FeatureMatrix, chunk_frames, cmn, fbank
+from .features import N_MELS, FeatureMatrix, chunk_frames, cmn, fbank
 from .seeding import child_seed, make_rng, spawn
 from .workers import worker_map
 
@@ -38,7 +38,7 @@ VAR_FLOOR = 1e-10
 @dataclass(frozen=True)
 class ToyModelConfig:
     n_speakers: int
-    input_dim: int = 80
+    input_dim: int = N_MELS
     hidden_dim: int = 64
     embed_dim: int = 32
     scale: float = 32.0
@@ -199,10 +199,6 @@ def loss_and_grads(m: ToyModel, f: FeatureMatrix, label: int, margin: float, s: 
     else:
         dz = np.zeros_like(d_emb)
 
-    grads = zero_grads(m)
-    grads["head"] = d_head
-    grads["w2"] = np.outer(dz, c.pooled)
-    grads["b2"] = dz
     dpooled = m.w2.T @ dz
 
     hid = m.hidden_dim
@@ -214,9 +210,13 @@ def loss_and_grads(m: ToyModel, f: FeatureMatrix, label: int, margin: float, s: 
     # var as a function of h has derivative 2(h - mu)/t; the mu path adds dmu/t.
     dh = dmu / t + (2.0 / t) * dvar * (c.h - mu)
     dh_pre = dh * (c.h_pre > 0.0)
-    grads["w1"] = dh_pre.T @ c.f
-    grads["b1"] = dh_pre.sum(axis=0)
-    return loss, grads
+    return loss, {
+        "w1": dh_pre.T @ c.f,
+        "b1": dh_pre.sum(axis=0),
+        "w2": np.outer(dz, c.pooled),
+        "b2": dz,
+        "head": d_head,
+    }
 
 
 def schedule(step: int, cfg: ToyModelConfig):

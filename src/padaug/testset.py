@@ -1,14 +1,14 @@
 """Evaluation test-set construction.
 
-Every variant but the untouched original is a random 3 s chunk padded
-with k in [0, 8] extra seconds by build_ratio, under one of three
-placements (head-tail, random head/tail split, or head-mid-tail). The
-named variants are aliases: chunk3s is k=0, chunk3s-ht is 1 s at head and
-tail (k=2), chunk3s-hmt is 1 s at head, mid and tail (k=3). ratio_sweep
-builds every k and scores models on each. Padding "silence" is white
-Gaussian noise at a fixed SNR (default 25 dB) so the padded regions
-resemble a quiet recording floor; digital zeros are available by passing
-snr_db=None.
+A padded test set is a random 3 s chunk of every utterance padded with
+k in [0, 8] extra seconds by build_ratio, under one of three placements
+(head-tail, random head/tail split, or head-mid-tail), so its spec is the
+pair (k_seconds, placement). The named variants are aliases: chunk3s is
+k=0, chunk3s-ht is 1 s at head and tail (k=2), chunk3s-hmt is 1 s at
+head, mid and tail (k=3). ratio_sweep builds every k and scores models on
+each. Padding "silence" is white Gaussian noise at a fixed SNR (default
+25 dB) so the padded regions resemble a quiet recording floor; digital
+zeros are available by passing snr_db=None.
 
 Per-utterance randomness is derived from (seed, utt_id), never from
 manifest position, so rebuilding a subset or reordering the manifest
@@ -17,7 +17,6 @@ offset, then mid split point, then noise, so variants that share a seed
 also share the underlying chunk.
 """
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,26 +45,6 @@ VARIANT_KINDS = ("original", *NAMED_VARIANTS, "ratio")
 PLACEMENTS = ("head-tail-even", "per-layout", "head-mid-tail-even")
 
 
-@dataclass(frozen=True)
-class TestVariant:
-    kind: str
-    k_seconds: int = 0
-    placement: str = "head-tail-even"
-
-    def __post_init__(self):
-        if self.kind not in VARIANT_KINDS:
-            raise InvalidConfigError(f"unknown variant kind {self.kind!r}")
-        if self.placement not in PLACEMENTS:
-            raise InvalidConfigError(f"unknown placement {self.placement!r}")
-        if self.kind == "ratio" and not 0 <= self.k_seconds <= MAX_RATIO_SECONDS:
-            raise InvalidRatioError(f"k_seconds must be in [0, {MAX_RATIO_SECONDS}], got {self.k_seconds}")
-
-    def tag(self) -> str:
-        if self.kind == "ratio":
-            return f"ratio{self.k_seconds}"
-        return self.kind
-
-
 def build_chunk3s(w: Waveform, rng: Rng, from_start: bool = False) -> Waveform:
     """Random contiguous 3 s chunk; shorter inputs are loop-padded first."""
     if len(w) == 0:
@@ -77,6 +56,14 @@ def build_chunk3s(w: Waveform, rng: Rng, from_start: bool = False) -> Waveform:
     return random_chunk(padded, t_s, rng)
 
 
+def check_ratio(k_seconds: int, placement: str) -> None:
+    """Raise unless build_ratio accepts (k_seconds, placement)."""
+    if not 0 <= k_seconds <= MAX_RATIO_SECONDS:
+        raise InvalidRatioError(f"k_seconds must be in [0, {MAX_RATIO_SECONDS}], got {k_seconds}")
+    if placement not in PLACEMENTS:
+        raise InvalidConfigError(f"unknown placement {placement!r}")
+
+
 def build_ratio(w3s: Waveform, k_seconds: int, placement: str, snr_db, rng: Rng) -> Waveform:
     """Pad a 3 s chunk with k extra seconds of noise.
 
@@ -86,10 +73,7 @@ def build_ratio(w3s: Waveform, k_seconds: int, placement: str, snr_db, rng: Rng)
     and a third at a uniform split point strictly inside the speech, so
     it always interrupts the chunk, and the rest at the tail.
     """
-    if not 0 <= k_seconds <= MAX_RATIO_SECONDS:
-        raise InvalidRatioError(f"k_seconds must be in [0, {MAX_RATIO_SECONDS}], got {k_seconds}")
-    if placement not in PLACEMENTS:
-        raise InvalidConfigError(f"unknown placement {placement!r}")
+    check_ratio(k_seconds, placement)
     l_pad = round(k_seconds * w3s.sample_rate_hz)
     if l_pad == 0:
         return w3s
@@ -111,30 +95,24 @@ def build_ratio(w3s: Waveform, k_seconds: int, placement: str, snr_db, rng: Rng)
     return assemble(w3s, layout, noise)
 
 
-def apply_variant(w: Waveform, variant: TestVariant, rng: Rng, snr_db=TEST_SNR_DB, from_start: bool = False) -> Waveform:
-    """Apply one test variant to one waveform."""
-    if variant.kind == "original":
-        return w
-    k_seconds, placement = NAMED_VARIANTS.get(variant.kind, (variant.k_seconds, variant.placement))
-    return build_ratio(build_chunk3s(w, rng, from_start=from_start), k_seconds, placement, snr_db, rng)
-
-
 def build_testset(
     records,
-    variant: TestVariant,
     out_dir,
     seed: int,
+    k_seconds: int,
+    placement: str = "head-tail-even",
     snr_db=TEST_SNR_DB,
     from_start: bool = False,
 ):
-    """Materialize a test-set variant on disk; returns the new records.
-
-    Writes one WAV per input record plus a manifest.tsv in out_dir.
+    """Write every record's 3 s chunk padded by build_ratio to out_dir,
+    one WAV each plus a manifest.tsv; returns the new records. Raises
+    before writing anything when (k_seconds, placement) is out of range.
     """
+    check_ratio(k_seconds, placement)
 
     def one(rec, w: Waveform) -> Waveform:
         rng = make_rng(child_seed(seed, rec.utt_id))
-        return apply_variant(w, variant, rng, snr_db=snr_db, from_start=from_start)
+        return build_ratio(build_chunk3s(w, rng, from_start=from_start), k_seconds, placement, snr_db, rng)
 
     return map_wavs(records, out_dir, one)
 
@@ -149,8 +127,7 @@ def ratio_sweep(records, trials, models, work_dir, seed, placement="head-tail-ev
     """
     work_dir = Path(work_dir)
     for k in range(MAX_RATIO_SECONDS + 1):
-        variant = TestVariant(kind="ratio", k_seconds=k, placement=placement)
-        padded = build_testset(records, variant, work_dir / f"ratio{k}", seed, snr_db=snr_db)
+        padded = build_testset(records, work_dir / f"ratio{k}", seed, k, placement, snr_db)
         # One k's features stay alive together. Freeing each utterance's
         # features as soon as it was embedded let the allocator hand the
         # memory back to the OS after every utterance: ~9x the page faults

@@ -19,11 +19,11 @@ from .audio_io import Waveform
 from .errors import EmptyResultError, InvalidConfigError, LengthMismatchError, TooShortError
 
 _ENERGY_FLOOR = 1e-12  # keeps log energy finite on digital silence
+FRAME_MS = 10.0
 
 
 @dataclass(frozen=True)
 class VadConfig:
-    frame_ms: float = 10.0
     energy_offset_db: float = 9.0
     hang_before: int = 10
     hang_over: int = 20
@@ -34,11 +34,6 @@ class VadConfig:
             raise InvalidConfigError("hang_before and hang_over must be >= 0")
         if not 0.0 < self.floor_percentile < 1.0:
             raise InvalidConfigError(f"floor_percentile must be in (0, 1), got {self.floor_percentile}")
-        if self.frame_ms <= 0:
-            raise InvalidConfigError("frame_ms must be positive")
-
-    def frame_samples(self, sr: int) -> int:
-        return round(self.frame_ms * sr / 1000.0)
 
 
 @dataclass
@@ -63,7 +58,7 @@ def _dilate(raw: np.ndarray, before: int, after: int) -> np.ndarray:
 
 def detect(w: Waveform, cfg: VadConfig = VadConfig()) -> SpeechMask:
     """Per-frame speech decisions for w."""
-    step = cfg.frame_samples(w.sample_rate_hz)
+    step = round(FRAME_MS * w.sample_rate_hz / 1000.0)
     nf = len(w) // step
     if nf < 1:
         raise TooShortError(f"need at least {step} samples for one frame, got {len(w)}")

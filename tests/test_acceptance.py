@@ -14,7 +14,7 @@ import pytest
 
 from padaug.audio_io import Waveform
 from padaug.augment import PadAugConfig, pad_aug_utterance
-from padaug.features import FbankConfig, FeatureMatrix, cmn, fbank
+from padaug.features import LOG_FLOOR, FeatureMatrix, cmn, fbank
 from padaug.metrics import eer, min_dcf
 from padaug.model import (
     ToyModelConfig,
@@ -25,8 +25,8 @@ from padaug.model import (
 )
 from padaug.seeding import child_seed, make_rng
 from padaug.synth import build_corpus, make_speaker, synth_utterance
-from padaug.testset import TestVariant, apply_variant, ratio_sweep
-from padaug.vad import VadConfig, detect
+from padaug.testset import NAMED_VARIANTS, TEST_SNR_DB, build_chunk3s, build_ratio, ratio_sweep
+from padaug.vad import FRAME_MS, VadConfig, detect
 
 from test_metrics import brute_force, mk
 from test_model import numeric_gradients
@@ -117,7 +117,7 @@ def test_feature_contracts():
     assert np.abs(c.values.mean(axis=0)).max() < 1e-6
     z = fbank(Waveform(np.zeros(48_000), 16000))
     assert np.all(np.isfinite(z.values))
-    assert np.allclose(z.values, np.log(FbankConfig().log_floor))
+    assert np.allclose(z.values, np.log(LOG_FLOOR))
 
 
 def test_gradient_check():
@@ -177,8 +177,10 @@ def test_directional_padding_robustness(experiment):
         w = waves[utt]
         pairs = [("chunk3s", 0), ("chunk3s-ht", 2)]
         for kind, k in pairs:
-            a = apply_variant(w, TestVariant(kind), make_rng(child_seed(SEED + 1, utt)))
-            b = apply_variant(w, TestVariant("ratio", k_seconds=k), make_rng(child_seed(SEED + 1, utt)))
+            rng = make_rng(child_seed(SEED + 1, utt))
+            a = build_ratio(build_chunk3s(w, rng), *NAMED_VARIANTS[kind], TEST_SNR_DB, rng)
+            rng = make_rng(child_seed(SEED + 1, utt))
+            b = build_ratio(build_chunk3s(w, rng), k, "head-tail-even", TEST_SNR_DB, rng)
             assert np.array_equal(a.samples, b.samples)
 
     eers = experiment["eers"]
@@ -200,7 +202,7 @@ def test_ratio_sweep_stability(experiment):
 def test_vad_retention():
     sr = 16000
     cfg = VadConfig()
-    step = round(cfg.frame_ms / 1000.0 * sr)
+    step = round(FRAME_MS / 1000.0 * sr)
     for seed in range(10):
         rng = make_rng(900 + seed)
         pieces = []

@@ -78,6 +78,14 @@ def test_build_testset_cmd(corpus, tmp_path):
         assert (tmp_path / "r3" / f"{r.utt_id}.wav").read_bytes() == (tmp_path / "hmt" / f"{r.utt_id}.wav").read_bytes()
 
 
+def test_build_testset_original_copies(corpus, tmp_path):
+    out = tmp_path / "orig"
+    assert main(["build-testset", "--manifest", str(corpus / "manifest.tsv"),
+                 "--out", str(out), "--variant", "original", "--seed", "0"]) == 0
+    for src, dst in zip(read_manifest(corpus / "manifest.tsv"), read_manifest(out / "manifest.tsv")):
+        assert open(src.wav_path, "rb").read() == open(dst.wav_path, "rb").read()
+
+
 def test_build_testset_zero_pad(corpus, tmp_path):
     rc = main(["build-testset", "--manifest", str(corpus / "manifest.tsv"),
                "--out", str(tmp_path / "z"), "--variant", "ratio", "--k", "1",
@@ -323,6 +331,44 @@ def test_empty_wav_error_names_utterance(tmp_path, capsys):
         assert "utterance empty01" in capsys.readouterr().err
 
 
+def test_failed_record_adds_no_file_to_out(tmp_path):
+    # --out may hold other files (e.g. be the corpus directory): a run that
+    # fails on one record must leave it exactly as it was
+    sr = 16000
+    write_wav(Waveform(0.1 * np.ones(2 * sr), sr), tmp_path / "good.wav")
+    write_wav(Waveform(np.zeros(0), sr), tmp_path / "empty.wav")
+    write_manifest([UtteranceRecord("a_good", "s0", str(tmp_path / "good.wav"), 2 * sr, sr),
+                    UtteranceRecord("b_empty", "s0", str(tmp_path / "empty.wav"), 0, sr)], tmp_path / "m.tsv")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "keep.txt").write_text("kept")
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["augment", "--manifest", str(tmp_path / "m.tsv"), "--out", str(out), "--seed", "1"]) == 1
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (out / "keep.txt").read_text() == "kept"
+
+
+# (subcommand argv, the file among its inputs that gets a non-UTF-8 byte)
+NOT_UTF8_INPUTS = {
+    "manifest": (["vad", "--manifest", "{bad}", "--out", "{tmp}/v"], "m.tsv"),
+    "trials": (["eval", "--trials", "{bad}", "--scores", "{tmp}/s.txt"], "t.txt"),
+    "scores": (["eval", "--trials", "{corpus}/trials.txt", "--scores", "{bad}"], "s.txt"),
+    "config": (["synth", "--config", "{bad}", "--out", "{tmp}/c", "--seed", "1"], "c.cfg"),
+    "feature-index": (["score", "--trials", "{corpus}/trials.txt", "--embeddings", "{tmp}/e.bin",
+                       "--out", "{tmp}/s.txt"], "e.bin.idx"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_UTF8_INPUTS))
+def test_non_utf8_text_input_is_pipeline_error(corpus, tmp_path, capsys, kind):
+    argv, name = NOT_UTF8_INPUTS[kind]
+    bad = tmp_path / name
+    bad.write_bytes(b"ab\xffcd\n")
+    rc = main([a.format(bad=bad, tmp=tmp_path, corpus=corpus) for a in argv])
+    assert rc == 1
+    assert f"{bad}: not UTF-8" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("threads", ["abc", "0"])
 def test_bad_thread_count_is_usage_error(tmp_path, monkeypatch, threads):
     monkeypatch.setenv("PADAUG_THREADS", threads)
@@ -384,3 +430,7 @@ def test_exit_codes(tmp_path, corpus):
                "--steps", "2", "--warmup-steps", "1", "--batch-size", "8", "--seed", "1"])
     assert rc == 1  # 6 utterances, fewer than one batch
     assert not (tmp_path / "m.bin").exists()
+    rc = main(["build-testset", "--manifest", str(corpus / "manifest.tsv"), "--out", str(tmp_path / "r9"),
+               "--variant", "ratio", "--k", "9", "--seed", "1"])
+    assert rc == 1  # k outside [0, 8]
+    assert not (tmp_path / "r9").exists()

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padaug.errors import (
     DegenerateTrialSetError,
@@ -197,6 +199,22 @@ def test_monotone_transform_invariance():
     warped = det_metrics(*mk(3.0 * targets + 1.0, 3.0 * nons + 1.0), p_target=0.05)
     assert abs(base.eer - warped.eer) < 1e-12
     assert abs(base.min_dcf - warped.min_dcf) < 1e-12
+
+
+# Scores on a 1/8 grid, so 4x - 1 and x**3 are exact in float64 and keep
+# distinct scores distinct; ties within the draw are kept as ties.
+grid_scores = st.lists(st.integers(-24, 24).map(lambda i: i / 8.0), min_size=1, max_size=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(targets=grid_scores, nons=grid_scores, p_target=st.sampled_from([0.01, 0.05, 0.5]))
+def test_metrics_invariant_under_increasing_transform(targets, nons, p_target):
+    scores, is_target = mk(targets, nons)
+    base_eer, base_dcf = eer(scores, is_target)[0], min_dcf(scores, is_target, p_target=p_target)[0]
+    for transform in (lambda x: 4.0 * x - 1.0, lambda x: x**3):
+        warped = transform(scores)
+        assert eer(warped, is_target)[0] == base_eer
+        assert min_dcf(warped, is_target, p_target=p_target)[0] == base_dcf
 
 
 def test_det_metrics_bundles_both():

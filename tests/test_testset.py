@@ -11,8 +11,6 @@ from padaug.seeding import make_rng, randint
 from padaug.testset import (
     MAX_RATIO_SECONDS,
     PLACEMENTS,
-    TestVariant,
-    apply_variant,
     build_chunk3s,
     build_ratio,
     build_testset,
@@ -169,17 +167,8 @@ def test_build_ratio_rejects_bad_k():
     for k in (-1, 9):
         with pytest.raises(InvalidRatioError):
             build_ratio(c, k, "head-tail-even", 25.0, make_rng(0))
-    with pytest.raises(InvalidRatioError):
-        TestVariant("ratio", k_seconds=9)
-
-
-def test_variant_validation():
     with pytest.raises(InvalidConfigError):
-        TestVariant("bogus")
-    with pytest.raises(InvalidConfigError):
-        TestVariant("ratio", placement="sideways")
-    assert TestVariant("ratio", 4).tag() == "ratio4"
-    assert TestVariant("chunk3s").tag() == "chunk3s"
+        build_ratio(c, 2, "sideways", 25.0, make_rng(0))
 
 
 def _write_corpus(tmp_path, n=4):
@@ -194,7 +183,7 @@ def _write_corpus(tmp_path, n=4):
 
 def test_build_testset_chunk3s(tmp_path):
     records = _write_corpus(tmp_path)
-    out = build_testset(records, TestVariant("chunk3s"), tmp_path / "ts", seed=42)
+    out = build_testset(records, tmp_path / "ts", seed=42, k_seconds=0)
     assert len(out) == 4
     for r in out:
         assert r.num_samples == 3 * SR
@@ -203,18 +192,11 @@ def test_build_testset_chunk3s(tmp_path):
     assert [r.utt_id for r in back] == [r.utt_id for r in records]
 
 
-def test_build_testset_original_copies(tmp_path):
-    records = _write_corpus(tmp_path)
-    out = build_testset(records, TestVariant("original"), tmp_path / "orig", seed=0)
-    for src, dst in zip(records, out):
-        assert open(src.wav_path, "rb").read() == open(dst.wav_path, "rb").read()
-
-
 def test_build_testset_order_independent(tmp_path):
     # per-utterance seeding: shuffling the manifest cannot change any file
     records = _write_corpus(tmp_path)
-    build_testset(records, TestVariant("chunk3s-hmt"), tmp_path / "f", seed=7)
-    build_testset(records[::-1], TestVariant("chunk3s-hmt"), tmp_path / "r", seed=7)
+    build_testset(records, tmp_path / "f", 7, 3, "head-mid-tail-even")
+    build_testset(records[::-1], tmp_path / "r", 7, 3, "head-mid-tail-even")
     for r in records:
         a = (tmp_path / "f" / f"{r.utt_id}.wav").read_bytes()
         b = (tmp_path / "r" / f"{r.utt_id}.wav").read_bytes()
@@ -224,14 +206,18 @@ def test_build_testset_order_independent(tmp_path):
 def test_build_testset_error_names_utterance(tmp_path):
     records = [UtteranceRecord("ghost", "s", str(tmp_path / "ghost.wav"), 10, SR)]
     with pytest.raises(FileNotFoundError) as err:
-        build_testset(records, TestVariant("chunk3s"), tmp_path / "x", seed=0)
+        build_testset(records, tmp_path / "x", seed=0, k_seconds=0)
     assert "ghost" in str(err.value)
 
 
-def test_apply_variant_shares_chunk_across_ks():
+def test_ratio_builds_share_chunk_across_ks():
     # same rng seed -> the k=0 chunk is a sub-array of every padded output
     x = speech(6 * SR, seed=9)
-    base = apply_variant(x, TestVariant("ratio", 0), make_rng(77))
-    padded = apply_variant(x, TestVariant("ratio", 4), make_rng(77))
+
+    def build(k):
+        rng = make_rng(77)
+        return build_ratio(build_chunk3s(x, rng), k, "head-tail-even", 25.0, rng)
+
+    base, padded = build(0), build(4)
     l_head = (4 * SR) // 2
     assert np.array_equal(padded.samples[l_head : l_head + 3 * SR], base.samples)
