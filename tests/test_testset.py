@@ -10,10 +10,13 @@ from padaug.manifest import UtteranceRecord, read_manifest
 from padaug.seeding import make_rng, randint
 from padaug.testset import (
     MAX_RATIO_SECONDS,
+    NAMED_VARIANTS,
     PLACEMENTS,
+    VARIANT_KINDS,
     build_chunk3s,
     build_ratio,
     build_testset,
+    check_ratio,
 )
 
 SR = 16000
@@ -169,6 +172,18 @@ def test_build_ratio_rejects_bad_k():
             build_ratio(c, k, "head-tail-even", 25.0, make_rng(0))
     with pytest.raises(InvalidConfigError):
         build_ratio(c, 2, "sideways", 25.0, make_rng(0))
+
+
+def test_variant_validation():
+    assert "bogus" not in VARIANT_KINDS
+    with pytest.raises(InvalidConfigError):
+        check_ratio(2, "sideways")
+    with pytest.raises(InvalidRatioError):
+        check_ratio(MAX_RATIO_SECONDS + 1, "head-tail-even")
+    for name, (k, placement) in NAMED_VARIANTS.items():
+        assert name in VARIANT_KINDS
+        check_ratio(k, placement)
+    assert NAMED_VARIANTS["chunk3s"] == (0, "head-tail-even")
 
 
 def _write_corpus(tmp_path, n=4):
