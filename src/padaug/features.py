@@ -8,12 +8,14 @@ scaling a waveform by c shifts every above-floor output by exactly
 2*ln(c).
 """
 
+import functools
 import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import Waveform
 from .errors import CorruptHeaderError, InvalidConfigError, TooShortError, read_text
@@ -60,8 +62,10 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=None)
 def mel_filterbank(n_mels: int, n_fft: int, sr: int) -> np.ndarray:
-    """Triangular filters, n_mels x (n_fft//2 + 1), HTK scale 0..Nyquist."""
+    """Triangular filters, n_mels x (n_fft//2 + 1), HTK scale 0..Nyquist.
+    Built once per argument triple and shared read-only by every caller."""
     n_bins = n_fft // 2 + 1
     edges_hz = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(sr / 2.0), n_mels + 2))
     bin_hz = np.arange(n_bins) * sr / n_fft
@@ -71,11 +75,16 @@ def mel_filterbank(n_mels: int, n_fft: int, sr: int) -> np.ndarray:
         rising = (bin_hz - lo) / (center - lo)
         falling = (hi - bin_hz) / (hi - center)
         fb[i] = np.maximum(0.0, np.minimum(rising, falling))
+    fb.flags.writeable = False
     return fb
 
 
-def frame_count(num_samples: int, win: int, hop: int) -> int:
-    return 1 + (num_samples - win) // hop
+@functools.lru_cache(maxsize=None)
+def _hamming(win: int) -> np.ndarray:
+    """np.hamming(win), built once per length and shared read-only."""
+    window = np.hamming(win)
+    window.flags.writeable = False
+    return window
 
 
 def fbank(w: Waveform, n_mels: int = N_MELS, dither: float = 0.0, rng: Rng | None = None) -> FeatureMatrix:
@@ -98,9 +107,7 @@ def fbank(w: Waveform, n_mels: int = N_MELS, dither: float = 0.0, rng: Rng | Non
     pre[0] = x[0]
     pre[1:] = x[1:] - PREEMPHASIS * x[:-1]
 
-    nf = frame_count(len(x), win, hop)
-    idx = np.arange(win)[None, :] + hop * np.arange(nf)[:, None]
-    frames = pre[idx] * np.hamming(win)
+    frames = sliding_window_view(pre, win)[::hop] * _hamming(win)
 
     n_fft = 1 << (win - 1).bit_length()  # next power of two >= win
     power = np.abs(np.fft.rfft(frames, n=n_fft, axis=1)) ** 2

@@ -11,6 +11,7 @@ Everything runs in float64 and all randomness flows from the config
 seed, so training twice with the same config is bit-identical.
 """
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -335,15 +336,26 @@ def embed_utterance(m: ToyModel, w) -> np.ndarray:
 
 
 def save_model(m: ToyModel, path, meta: dict | None = None) -> None:
+    """Write the checkpoint and its .meta through temporary siblings, moved
+    into place (checkpoint first, .meta last) only once both are written."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<iiii", m.input_dim, m.hidden_dim, m.embed_dim, m.n_speakers))
-        for name in ("w1", "b1", "w2", "b2", "head"):
-            f.write(m.params()[name].astype("<f8").tobytes(order="C"))
-    lines = [f"{k}={v}\n" for k, v in sorted((meta or {}).items())]
-    Path(str(path) + ".meta").write_text("".join(lines), encoding="utf-8")
+    meta_path = Path(f"{path}.meta")
+    tmp_bin, tmp_meta = Path(f"{path}.tmp"), Path(f"{meta_path}.tmp")
+    try:
+        with open(tmp_bin, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<iiii", m.input_dim, m.hidden_dim, m.embed_dim, m.n_speakers))
+            for name in ("w1", "b1", "w2", "b2", "head"):
+                f.write(m.params()[name].astype("<f8").tobytes(order="C"))
+        lines = [f"{k}={v}\n" for k, v in sorted((meta or {}).items())]
+        tmp_meta.write_text("".join(lines), encoding="utf-8")
+    except BaseException:
+        tmp_bin.unlink(missing_ok=True)
+        tmp_meta.unlink(missing_ok=True)
+        raise
+    os.replace(tmp_bin, path)
+    os.replace(tmp_meta, meta_path)
 
 
 def load_model(path) -> ToyModel:

@@ -2,9 +2,10 @@
 
 The PADAUG_THREADS environment variable caps the number of worker threads;
 unset or 1 means serial execution, and anything but an integer >= 1 is an
-InvalidConfigError. Work items must be independent (each carries its own
-derived seed), so parallel and serial runs produce identical results and
-output order always matches input order.
+InvalidConfigError. The pool never has more threads than CPUs or items.
+Work items must be independent (each carries its own derived seed), so
+parallel and serial runs produce identical results and output order always
+matches input order.
 """
 
 import os
@@ -27,8 +28,8 @@ def worker_count() -> int:
 def worker_map(fn, items):
     """Map fn over items, preserving order; threaded when configured."""
     items = list(items)
-    n = worker_count()
-    if n <= 1 or len(items) <= 1:
+    n = min(worker_count(), os.cpu_count() or 1, len(items))
+    if n <= 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=n) as pool:
         return list(pool.map(fn, items))

@@ -1,3 +1,4 @@
+import os
 import sys
 
 import numpy as np
@@ -287,7 +288,9 @@ def test_identical_at_any_thread_count(corpus, model_file, tmp_path, monkeypatch
 
 def test_vad_masks_under_thread_contention(corpus, tmp_path, monkeypatch):
     # vad workers store masks in one shared dict; more workers than cores and
-    # a short switch interval must still give the serial run's mask dump
+    # a short switch interval must still give the serial run's mask dump (the
+    # pool is clamped to the CPU count, so the test claims 8 CPUs)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     src = read_manifest(corpus / "manifest.tsv")
     records = [UtteranceRecord(f"{r.utt_id}-{i}", r.speaker_id, r.wav_path, r.num_samples, r.sample_rate_hz)
                for i in range(8) for r in src]

@@ -6,12 +6,15 @@ import pytest
 from padaug.audio_io import Waveform
 from padaug.errors import CorruptHeaderError, InvalidConfigError, TooShortError
 from padaug.features import (
+    HOP_MS,
     LOG_FLOOR,
+    N_MELS,
+    PREEMPHASIS,
+    WIN_MS,
     FeatureMatrix,
     chunk_frames,
     cmn,
     fbank,
-    frame_count,
     hz_to_mel,
     mel_filterbank,
     mel_to_hz,
@@ -20,6 +23,7 @@ from padaug.features import (
     write_feature_dump,
 )
 from padaug.seeding import make_rng
+from padaug.workers import worker_map
 
 SR = 16000
 
@@ -27,6 +31,29 @@ SR = 16000
 def tone(freq, seconds=3.0, amp=0.5):
     n = round(seconds * SR)
     return Waveform(amp * np.sin(2 * np.pi * freq / SR * np.arange(n)), SR)
+
+
+def fbank_ref(w, n_mels=N_MELS, dither=0.0, rng=None):
+    """The uncached fbank: fancy-index framing, a fresh Hamming window and a
+    freshly built filterbank on every call."""
+    sr = w.sample_rate_hz
+    win = round(WIN_MS * sr / 1000.0)
+    hop = round(HOP_MS * sr / 1000.0)
+    x = w.samples
+    if dither > 0.0:
+        x = x + dither * rng.standard_normal(len(x))
+    pre = np.empty_like(x)
+    pre[0] = x[0]
+    pre[1:] = x[1:] - PREEMPHASIS * x[:-1]
+
+    nf = 1 + (len(x) - win) // hop
+    idx = np.arange(win)[None, :] + hop * np.arange(nf)[:, None]
+    frames = pre[idx] * np.hamming(win)
+
+    n_fft = 1 << (win - 1).bit_length()
+    power = np.abs(np.fft.rfft(frames, n=n_fft, axis=1)) ** 2
+    energies = power @ mel_filterbank.__wrapped__(n_mels, n_fft, sr).T
+    return FeatureMatrix(np.log(np.maximum(energies, LOG_FLOOR)))
 
 
 def test_frame_count_formula():
@@ -37,7 +64,37 @@ def test_frame_count_formula():
         while start + 400 <= n:
             expected += 1
             start += 160
-        assert frame_count(n, 400, 160) == expected
+        assert fbank(Waveform(np.ones(n), SR)).frames == expected
+
+
+# Sample counts: 400, 401, 3 s, 4 s + 17 and 11 s at each rate.
+REF_CASES = [(sr, n, n_mels, dither)
+             for sr in (8000, 16000)
+             for n in (400, 401, 3 * sr, 4 * sr + 17, 11 * sr)
+             for n_mels in (1, 40, 80)
+             for dither in (0.0, 1e-3)]
+
+
+@pytest.mark.parametrize("sr, n, n_mels, dither", REF_CASES)
+def test_fbank_matches_reference(sr, n, n_mels, dither):
+    rng = make_rng(n + sr)
+    w = Waveform(0.3 * rng.standard_normal(n) + 0.2 * np.sin(2 * np.pi * 440.0 / sr * np.arange(n)), sr)
+    got = fbank(w, n_mels, dither, make_rng(5) if dither else None)
+    want = fbank_ref(w, n_mels, dither, make_rng(5) if dither else None)
+    assert np.array_equal(got.values, want.values)
+
+
+def test_cached_constants_are_shared_read_only(monkeypatch):
+    fb = mel_filterbank(80, 512, SR)
+    assert mel_filterbank(80, 512, SR) is fb
+    with pytest.raises(ValueError):
+        fb[0, 0] = 1.0
+    # two threads filling the emptied caches at once still match the oracle
+    mel_filterbank.cache_clear()
+    monkeypatch.setenv("PADAUG_THREADS", "2")
+    waves = [Waveform(make_rng(i).standard_normal(SR * (1 + i % 3)), SR) for i in range(8)]
+    got = worker_map(lambda w: fbank(w).values, waves)
+    assert all(np.array_equal(g, fbank_ref(w).values) for g, w in zip(got, waves))
 
 
 def test_three_seconds_gives_298_frames():

@@ -1,3 +1,4 @@
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from padaug.errors import (
 )
 from padaug.features import FeatureMatrix
 from padaug.model import (
+    CHECKPOINT_MAGIC,
     ToyModel,
     ToyModelConfig,
     TrainingSet,
@@ -305,6 +307,25 @@ def test_checkpoint_roundtrip(tmp_path):
     for a, b in zip(m.params().values(), back.params().values()):
         assert np.array_equal(a, b)
     assert "note=x" in (tmp_path / "m.bin.meta").read_text()
+
+
+def test_failed_checkpoint_rewrite_keeps_old_checkpoint(tmp_path):
+    m = init_model(small_cfg(8))
+    save_model(m, tmp_path / "m.bin", meta={"note": "x"})
+    header = CHECKPOINT_MAGIC + struct.pack("<iiii", m.input_dim, m.hidden_dim, m.embed_dim, m.n_speakers)
+    assert (tmp_path / "m.bin").read_bytes() == header + b"".join(
+        m.params()[name].astype("<f8").tobytes() for name in ("w1", "b1", "w2", "b2", "head"))
+    assert (tmp_path / "m.bin.meta").read_bytes() == b"note=x\n"
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    class Unformattable:
+        def __format__(self, spec):
+            raise RuntimeError("cannot format")
+
+    with pytest.raises(RuntimeError):
+        save_model(init_model(small_cfg(9)), tmp_path / "m.bin", meta={"bad": Unformattable()})
+    # the old checkpoint and .meta untouched, no temporary file left behind
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_checkpoint_corruption(tmp_path):
