@@ -17,18 +17,16 @@ import argparse
 import sys
 from pathlib import Path
 
-from .audio_io import read_wav
 from .augment import PadAugConfig, pad_aug_utterance
 from .errors import InvalidConfigError, PadAugError, read_text
 from .features import N_MELS, FeatureMatrix, cmn, fbank, read_feature_dump, write_feature_dump
-from .manifest import map_wavs, read_manifest
+from .manifest import map_records, map_wavs, read_manifest, staged
 from .metrics import det_metrics, format_report, read_scores, read_trials, score_trials, write_scores
 from .model import ToyModelConfig, embed_utterance, load_model, load_training_set, save_model, train
-from .seeding import child_seed, make_rng
 from .synth import build_corpus
 from .testset import NAMED_VARIANTS, PLACEMENTS, TEST_SNR_DB, VARIANT_KINDS, build_testset, ratio_sweep
 from .vad import VadConfig, detect, drop_silence, write_mask_dump
-from .workers import worker_count, worker_map
+from .workers import worker_count
 
 
 def _log_config(args) -> None:
@@ -94,11 +92,10 @@ def _pad_config(args, sample_rate_hz: int, mode: str) -> PadAugConfig:
 
 
 def _cmd_augment(args) -> int:
-    def one(rec, w):
-        rng = make_rng(child_seed(args.seed, rec.utt_id))
+    def one(rec, w, rng):
         return pad_aug_utterance(w, _pad_config(args, w.sample_rate_hz, args.mode), rng).waveform
 
-    new_records = map_wavs(read_manifest(args.manifest), args.out, one)
+    new_records = map_wavs(read_manifest(args.manifest), args.out, one, args.seed)
     print(f"augmented {len(new_records)} utterances into {args.out}")
     return 0
 
@@ -106,7 +103,7 @@ def _cmd_augment(args) -> int:
 def _cmd_build_testset(args) -> int:
     records = read_manifest(args.manifest)
     if args.variant == "original":
-        new_records = map_wavs(records, args.out, lambda rec, w: w)
+        new_records = map_wavs(records, args.out, lambda rec, w, rng: w)
     else:
         k, placement = NAMED_VARIANTS.get(args.variant, (args.k, args.placement))
         snr = None if args.zero_pad else args.snr_db
@@ -121,12 +118,11 @@ def _cmd_featurize(args) -> int:
     if args.dither > 0.0 and args.seed is None:
         raise InvalidConfigError("--dither requires --seed")
 
-    def one(rec):
-        rng = make_rng(child_seed(args.seed, rec.utt_id)) if args.dither > 0.0 else None
-        feats = fbank(read_wav(rec.wav_path), args.n_mels, args.dither, rng)
+    def one(rec, w, rng):
+        feats = fbank(w, args.n_mels, args.dither, rng)
         return rec.utt_id, cmn(feats) if args.cmn else feats
 
-    write_feature_dump(args.out, worker_map(one, records))
+    write_feature_dump(args.out, map_records(records, one, args.seed if args.dither > 0.0 else None))
     print(f"wrote features for {len(records)} utterances to {args.out}")
     return 0
 
@@ -141,7 +137,7 @@ def _cmd_vad(args) -> int:
     )
     masks = {}
 
-    def one(rec, w):
+    def one(rec, w, rng):
         mask = masks[rec.utt_id] = detect(w, cfg)
         # Nothing classified as speech: keep the original.
         return drop_silence(w, mask) if mask.flags.any() else w
@@ -183,9 +179,7 @@ def _cmd_train(args) -> int:
     }
     save_model(result.model, args.out, meta)
     if args.log:
-        log_path = Path(args.log)
-        log_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(log_path, "w", encoding="utf-8") as f:
+        with staged(args.log) as (tmp,), open(tmp, "w", encoding="utf-8") as f:
             f.write("step\tloss\tlr\tmargin\n")
             for step, loss, lr, margin in result.log:
                 f.write(f"{step}\t{loss:.6f}\t{lr:.8f}\t{margin:.6f}\n")
@@ -197,11 +191,10 @@ def _cmd_embed(args) -> int:
     model = load_model(args.model)
     records = read_manifest(args.manifest)
 
-    def one(rec):
-        emb = embed_utterance(model, read_wav(rec.wav_path))
-        return rec.utt_id, FeatureMatrix(emb[None, :])
+    def one(rec, w, rng):
+        return rec.utt_id, FeatureMatrix(embed_utterance(model, w)[None, :])
 
-    write_feature_dump(args.out, worker_map(one, records))
+    write_feature_dump(args.out, map_records(records, one))
     print(f"wrote {len(records)} embeddings to {args.out}")
     return 0
 
@@ -220,7 +213,8 @@ def _cmd_eval(args) -> int:
     m = det_metrics(scores, trials.is_target, p_target=args.p_target, c_miss=args.c_miss, c_fa=args.c_fa)
     report = format_report([(args.name, m)])
     if args.out:
-        Path(args.out).write_text(report, encoding="utf-8")
+        with staged(args.out) as (tmp,):
+            tmp.write_text(report, encoding="utf-8")
     sys.stdout.write(report)
     return 0
 
@@ -244,9 +238,8 @@ def _cmd_sweep(args) -> int:
         for name, m in rows:
             lines.append(f"{name}\t{k}\t{k / 3.0:.4f}\t{m.eer:.6f}\t{m.min_dcf:.6f}")
             print(f"ratio {k}/3 {name}: eer {m.eer:.4f} min_dcf {m.min_dcf:.4f}", file=sys.stderr)
-    text = "\n".join(lines) + "\n"
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    Path(args.out).write_text(text, encoding="utf-8")
+    with staged(args.out) as (tmp,):
+        tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote sweep table to {args.out}")
     return 0
 

@@ -19,7 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import Waveform
 from .errors import CorruptHeaderError, InvalidConfigError, TooShortError, read_text
-from .manifest import check_utt_id
+from .manifest import check_utt_id, staged
 from .seeding import Rng, randint
 
 FEATURE_MAGIC = b"FBK1"
@@ -145,13 +145,10 @@ def _index_path(path) -> Path:
 
 
 def write_feature_dump(path, items) -> None:
-    """Write (utt_id, FeatureMatrix) pairs plus the sidecar index, through
-    temporary siblings moved into place only once every entry is written."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp_bin, tmp_idx = Path(f"{path}.tmp"), Path(f"{_index_path(path)}.tmp")
+    """Write (utt_id, FeatureMatrix) pairs plus the sidecar index through
+    manifest.staged, so both appear only once every entry is written."""
     index_lines = []
-    try:
+    with staged(path, _index_path(path)) as (tmp_bin, tmp_idx):
         with open(tmp_bin, "wb") as f:
             for utt_id, mat in items:
                 check_utt_id(utt_id)
@@ -160,12 +157,6 @@ def write_feature_dump(path, items) -> None:
                 f.write(struct.pack("<ii", mat.frames, mat.dims))
                 f.write(mat.values.astype("<f4").tobytes(order="C"))
         tmp_idx.write_text("".join(index_lines), encoding="utf-8")
-    except BaseException:
-        tmp_bin.unlink(missing_ok=True)
-        tmp_idx.unlink(missing_ok=True)
-        raise
-    os.replace(tmp_bin, path)
-    os.replace(tmp_idx, _index_path(path))
 
 
 def _read_entry(f, file_size: int) -> FeatureMatrix:
@@ -205,6 +196,8 @@ def read_feature_dump(path):
     with open(path, "rb") as f:
         file_size = os.fstat(f.fileno()).st_size
         for utt_id, off in index.items():
+            if off > file_size:
+                raise CorruptHeaderError(f"{path}: offset {off} of {utt_id!r} is past the end of the file")
             f.seek(off)
             out[utt_id] = _read_entry(f, file_size)
     return out

@@ -1,19 +1,27 @@
-"""Dataset manifests: one TSV row per utterance.
+"""Dataset manifests and the per-record I/O boundary.
 
-Columns: utt_id, speaker_id, wav_path, num_samples, sample_rate. No
-header row. wav_path is stored relative to the manifest's directory so a
-dataset directory can be moved wholesale. map_wavs writes a WAV dataset
-directory: `<utt_id>.wav` per record plus `manifest.tsv`.
+Manifest columns: utt_id, speaker_id, wav_path, num_samples, sample_rate.
+No header row. wav_path is stored relative to the manifest's directory so
+a dataset directory can be moved wholesale.
+
+map_records is the one read path: it reads each record's WAV and applies
+a transform with the record's own generator, seeded from (seed, utt_id).
+map_wavs builds on it to write a WAV dataset directory (`<utt_id>.wav` per
+record plus `manifest.tsv`). staged is the one publish path for every
+other output file: it writes temporary siblings and moves them into place
+only once they are complete.
 """
 
 import os
 import shutil
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .audio_io import read_wav, write_wav
 from .errors import CorruptHeaderError, InvalidConfigError, PadAugError, read_text
+from .seeding import child_seed, make_rng
 from .workers import worker_map
 
 _NUM_COLS = 5
@@ -31,9 +39,9 @@ class UtteranceRecord:
 def check_utt_id(utt_id: str) -> None:
     """An utterance id names a WAV file and fills one column of the
     space-delimited trial and score files, so it must be non-empty, with no
-    whitespace and no '/'. Raises InvalidConfigError otherwise."""
-    if not utt_id or "/" in utt_id or any(c.isspace() for c in utt_id):
-        raise InvalidConfigError(f"bad utt_id {utt_id!r}: must be non-empty, without whitespace or '/'")
+    whitespace, '/' or NUL. Raises InvalidConfigError otherwise."""
+    if not utt_id or "/" in utt_id or "\0" in utt_id or any(c.isspace() for c in utt_id):
+        raise InvalidConfigError(f"bad utt_id {utt_id!r}: must be non-empty, without whitespace, '/' or NUL")
 
 
 def _check_field(value: str, name: str) -> str:
@@ -42,6 +50,25 @@ def _check_field(value: str, name: str) -> str:
     if "\t" in value or "\n" in value:
         raise InvalidConfigError(f"{name} contains a tab or newline: {value!r}")
     return value
+
+
+@contextmanager
+def staged(*paths):
+    """Yield a `<path>.tmp` sibling for each path, parent directories
+    created. Once the block succeeds they are os.replace'd into place in
+    the order given; if it raises they are unlinked and no path changes."""
+    paths = [Path(p) for p in paths]
+    tmps = tuple(Path(f"{p}.tmp") for p in paths)
+    for p in paths:
+        p.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        yield tmps
+    except BaseException:
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
+        raise
+    for tmp, p in zip(tmps, paths):
+        os.replace(tmp, p)
 
 
 def write_manifest(records, path) -> None:
@@ -59,9 +86,8 @@ def write_manifest(records, path) -> None:
         rel = os.path.relpath(Path(r.wav_path).resolve(), base)
         _check_field(rel, "wav_path")
         lines.append(f"{r.utt_id}\t{r.speaker_id}\t{rel}\t{r.num_samples}\t{r.sample_rate_hz}\n")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as f:
-        f.writelines(lines)
+    with staged(path) as (tmp,):
+        tmp.write_text("".join(lines), encoding="utf-8")
 
 
 def read_manifest(path):
@@ -73,6 +99,8 @@ def read_manifest(path):
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         if not line:
             continue
+        if "\0" in line:
+            raise CorruptHeaderError(f"{path}:{lineno}: NUL byte in a field")
         cols = line.split("\t")
         if len(cols) != _NUM_COLS:
             raise CorruptHeaderError(f"{path}:{lineno}: expected {_NUM_COLS} columns, got {len(cols)}")
@@ -103,36 +131,52 @@ def read_manifest(path):
     return records
 
 
-def map_wavs(records, out_dir, fn):
-    """Write fn(rec, waveform) as out_dir/<utt_id>.wav for every record,
-    plus out_dir/manifest.tsv; returns the new records in input order.
+def map_records(records, fn, seed=None):
+    """fn(rec, waveform, rng) for every record, read from rec.wav_path,
+    through worker_map; returns the results in input order.
+
+    rng is a generator seeded from (seed, rec.utt_id), never from the
+    record's position, so results do not depend on manifest order or the
+    worker count; it is None when no seed is given. A PadAugError or
+    OSError is re-raised with the utterance id prefixed to its message.
+    """
+
+    def one(rec: UtteranceRecord):
+        rng = None if seed is None else make_rng(child_seed(seed, rec.utt_id))
+        try:
+            return fn(rec, read_wav(rec.wav_path), rng)
+        except (PadAugError, OSError) as e:
+            raise type(e)(f"utterance {rec.utt_id}: {e}") from e
+
+    return worker_map(one, records)
+
+
+def map_wavs(records, out_dir, fn, seed=None):
+    """Write fn(rec, waveform, rng) as out_dir/<utt_id>.wav for every
+    record through map_records, plus out_dir/manifest.tsv; returns the new
+    records in input order.
 
     All or nothing: the files are written into a temporary sibling of
     out_dir and moved into out_dir, manifest last, only once every record
     has succeeded. On failure only the temporary directory is removed, so
-    out_dir gains no file and loses none. Records run through worker_map,
-    so fn must derive any randomness from the record itself. A PadAugError
-    or OSError is re-raised with the utterance id prefixed to its message.
+    out_dir gains no file and loses none.
     """
     out_dir = Path(out_dir)
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=out_dir.parent))
 
-    def one(rec: UtteranceRecord) -> UtteranceRecord:
+    def one(rec: UtteranceRecord, w, rng) -> UtteranceRecord:
+        out = fn(rec, w, rng)
         dst = staging / f"{rec.utt_id}.wav"
-        try:
-            out = fn(rec, read_wav(rec.wav_path))
-            write_wav(out, dst)
-        except (PadAugError, OSError) as e:
-            raise type(e)(f"utterance {rec.utt_id}: {e}") from e
+        write_wav(out, dst)
         return UtteranceRecord(rec.utt_id, rec.speaker_id, str(dst), len(out), out.sample_rate_hz)
 
     try:
-        staged = worker_map(one, records)
-        write_manifest(staged, staging / "manifest.tsv")
+        written = map_records(records, one, seed)
+        write_manifest(written, staging / "manifest.tsv")
         out_dir.mkdir(exist_ok=True)
-        new_records = [replace(rec, wav_path=str(out_dir / f"{rec.utt_id}.wav")) for rec in staged]
-        for src, dst in zip(staged, new_records):
+        new_records = [replace(rec, wav_path=str(out_dir / f"{rec.utt_id}.wav")) for rec in written]
+        for src, dst in zip(written, new_records):
             os.replace(src.wav_path, dst.wav_path)
         os.replace(staging / "manifest.tsv", out_dir / "manifest.tsv")
     finally:

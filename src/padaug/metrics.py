@@ -17,7 +17,6 @@ trial order.
 """
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .errors import (
     ZeroNormError,
     read_text,
 )
+from .manifest import staged
 
 
 @dataclass(frozen=True)
@@ -150,9 +150,7 @@ def score_trials(trials: Trials, store) -> np.ndarray:
 
 
 def write_trials(trials: Trials, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as f:
+    with staged(path) as (tmp,), open(tmp, "w", encoding="utf-8") as f:
         for enroll, test, target in zip(trials.enroll, trials.test, trials.is_target):
             f.write(f"{int(target)} {enroll} {test}\n")
 
@@ -174,9 +172,7 @@ def read_trials(path) -> Trials:
 
 
 def write_scores(trials: Trials, scores, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as f:
+    with staged(path) as (tmp,), open(tmp, "w", encoding="utf-8") as f:
         for enroll, test, score in zip(trials.enroll, trials.test, np.asarray(scores, dtype=np.float64).tolist()):
             f.write(f"{enroll} {test} {score:.6f}\n")
 

@@ -11,14 +11,12 @@ Everything runs in float64 and all randomness flows from the config
 seed, so training twice with the same config is bit-identical.
 """
 
-import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .audio_io import read_wav
 from .augment import PadAugConfig, pad_aug_utterance
 from .errors import (
     CorruptHeaderError,
@@ -29,6 +27,7 @@ from .errors import (
     TooFewFramesError,
 )
 from .features import N_MELS, FeatureMatrix, chunk_frames, cmn, fbank
+from .manifest import map_records, staged
 from .seeding import child_seed, make_rng, spawn
 from .workers import worker_map
 
@@ -257,7 +256,7 @@ def load_training_set(records) -> TrainingSet:
     index = {s: i for i, s in enumerate(speakers)}
     utt_ids = [r.utt_id for r in records]
     labels = np.array([index[r.speaker_id] for r in records], dtype=np.int64)
-    waveforms = worker_map(lambda r: read_wav(r.wav_path), records)
+    waveforms = map_records(records, lambda rec, w, rng: w)
     return TrainingSet(utt_ids=utt_ids, labels=labels, waveforms=waveforms, speakers=speakers)
 
 
@@ -336,26 +335,15 @@ def embed_utterance(m: ToyModel, w) -> np.ndarray:
 
 
 def save_model(m: ToyModel, path, meta: dict | None = None) -> None:
-    """Write the checkpoint and its .meta through temporary siblings, moved
+    """Write the checkpoint and its .meta through manifest.staged, moved
     into place (checkpoint first, .meta last) only once both are written."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    meta_path = Path(f"{path}.meta")
-    tmp_bin, tmp_meta = Path(f"{path}.tmp"), Path(f"{meta_path}.tmp")
-    try:
+    with staged(path, f"{path}.meta") as (tmp_bin, tmp_meta):
         with open(tmp_bin, "wb") as f:
             f.write(CHECKPOINT_MAGIC)
             f.write(struct.pack("<iiii", m.input_dim, m.hidden_dim, m.embed_dim, m.n_speakers))
             for name in ("w1", "b1", "w2", "b2", "head"):
                 f.write(m.params()[name].astype("<f8").tobytes(order="C"))
-        lines = [f"{k}={v}\n" for k, v in sorted((meta or {}).items())]
-        tmp_meta.write_text("".join(lines), encoding="utf-8")
-    except BaseException:
-        tmp_bin.unlink(missing_ok=True)
-        tmp_meta.unlink(missing_ok=True)
-        raise
-    os.replace(tmp_bin, path)
-    os.replace(tmp_meta, meta_path)
+        tmp_meta.write_text("".join(f"{k}={v}\n" for k, v in sorted((meta or {}).items())), encoding="utf-8")
 
 
 def load_model(path) -> ToyModel:

@@ -21,15 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import Waveform, read_wav
+from .audio_io import Waveform
 from .augment import PaddingLayout, assemble, loop_pad, random_chunk, wgn_like
 from .errors import EmptyInputError, InvalidConfigError, InvalidRatioError, LengthMismatchError
 from .features import cmn, fbank
-from .manifest import map_wavs
+from .manifest import map_records, map_wavs
 from .metrics import det_metrics, score_trials
 from .model import forward
-from .seeding import Rng, child_seed, make_rng, randint
-from .workers import worker_map
+from .seeding import Rng, randint
 
 CHUNK_SECONDS = 3.0
 TEST_SNR_DB = 25.0
@@ -110,11 +109,10 @@ def build_testset(
     """
     check_ratio(k_seconds, placement)
 
-    def one(rec, w: Waveform) -> Waveform:
-        rng = make_rng(child_seed(seed, rec.utt_id))
+    def one(rec, w: Waveform, rng: Rng) -> Waveform:
         return build_ratio(build_chunk3s(w, rng, from_start=from_start), k_seconds, placement, snr_db, rng)
 
-    return map_wavs(records, out_dir, one)
+    return map_wavs(records, out_dir, one, seed)
 
 
 def ratio_sweep(records, trials, models, work_dir, seed, placement="head-tail-even", snr_db=TEST_SNR_DB, p_target=0.01):
@@ -132,7 +130,7 @@ def ratio_sweep(records, trials, models, work_dir, seed, placement="head-tail-ev
         # features as soon as it was embedded let the allocator hand the
         # memory back to the OS after every utterance: ~9x the page faults
         # and a ~20% slower sweep.
-        feats = worker_map(lambda rec: cmn(fbank(read_wav(rec.wav_path))), padded)
+        feats = map_records(padded, lambda rec, w, rng: cmn(fbank(w)))
         rows = []
         for name, model in models:
             store = {rec.utt_id: forward(model, f) for rec, f in zip(padded, feats)}

@@ -11,12 +11,12 @@ semantics match, the statistical model does not.
 """
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .audio_io import Waveform
 from .errors import EmptyResultError, InvalidConfigError, LengthMismatchError, TooShortError
+from .manifest import staged
 
 _ENERGY_FLOOR = 1e-12  # keeps log energy finite on digital silence
 FRAME_MS = 10.0
@@ -92,21 +92,7 @@ def drop_silence(w: Waveform, mask: SpeechMask) -> Waveform:
 
 
 def write_mask_dump(path, items) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as f:
+    with staged(path) as (tmp,), open(tmp, "w", encoding="utf-8") as f:
         for utt_id, mask in items:
             bits = "".join("1" if v else "0" for v in mask.flags)
             f.write(f"{utt_id}\t{bits}\n")
-
-
-def read_mask_dump(path, frame_samples: int):
-    out = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            utt_id, bits = line.split("\t")
-            out[utt_id] = SpeechMask(np.frombuffer(bits.encode("ascii"), dtype="u1") == ord("1"), frame_samples)
-    return out

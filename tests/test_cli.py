@@ -1,3 +1,7 @@
+import builtins
+import errno
+import hashlib
+import io
 import os
 import sys
 
@@ -11,8 +15,10 @@ from padaug.audio_io import Waveform, read_wav, write_wav
 from padaug.cli import main
 from padaug.features import read_feature_dump
 from padaug.manifest import UtteranceRecord, read_manifest, write_manifest
+from padaug.metrics import Trials, write_scores, write_trials
 from padaug.model import ToyModelConfig, init_model, load_model, save_model
 from padaug.seeding import make_rng
+from padaug.vad import SpeechMask, write_mask_dump
 
 
 @pytest.fixture(scope="module")
@@ -324,14 +330,107 @@ def test_escaping_utt_id_writes_nothing_outside_out(corpus, tmp_path):
     assert [p for p in sorted(tmp_path.rglob("*")) if out not in (p, *p.parents)] == before
 
 
-def test_empty_wav_error_names_utterance(tmp_path, capsys):
+def test_empty_wav_error_names_utterance(model_file, tmp_path, capsys):
     write_wav(Waveform(np.zeros(0), 16000), tmp_path / "empty.wav")
     write_manifest([UtteranceRecord("empty01", "s0", str(tmp_path / "empty.wav"), 0, 16000)], tmp_path / "m.tsv")
-    for command, extra in (("augment", ["--seed", "1"]), ("vad", [])):
+    for command, extra in (("augment", ["--seed", "1"]), ("vad", []), ("featurize", []),
+                           ("embed", ["--model", str(model_file)])):
         capsys.readouterr()
         argv = [command, "--manifest", str(tmp_path / "m.tsv"), "--out", str(tmp_path / command)] + extra
         assert main(argv) == 1
         assert "utterance empty01" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["utt_id", "speaker_id", "wav_path"])
+def test_nul_in_manifest_is_pipeline_error(corpus, tmp_path, capsys, field):
+    # an exception escaping main is the traceback the user would see
+    rec = read_manifest(corpus / "manifest.tsv")[0]
+    row = {"utt_id": rec.utt_id, "speaker_id": rec.speaker_id, "wav_path": rec.wav_path}
+    row[field] += "\0x"
+    (tmp_path / "m.tsv").write_text("\t".join([*row.values(), str(rec.num_samples), "16000"]) + "\n")
+    for command, extra in (("augment", ["--seed", "1"]), ("featurize", [])):
+        capsys.readouterr()
+        assert main([command, "--manifest", str(tmp_path / "m.tsv"), "--out", str(tmp_path / command)] + extra) == 1
+        assert "error: " in capsys.readouterr().err
+        assert not (tmp_path / command).exists()
+
+
+def cli_writer(*argv):
+    """A writer that runs padaug with argv and raises when it exits non-zero."""
+
+    def run():
+        if main([str(a) for a in argv]) != 0:
+            raise OSError(f"padaug {argv[0]} failed")
+
+    return run
+
+
+def text_writer(name, d, corpus):
+    """(path, write) for each writer of a text file: write() (re)writes path."""
+    trials = Trials(("a", "c"), ("b", "d"), (True, False))
+    if name == "write_manifest":
+        return d / "m.tsv", lambda: write_manifest(read_manifest(corpus / "manifest.tsv"), d / "m.tsv")
+    if name == "write_trials":
+        return d / "t.txt", lambda: write_trials(trials, d / "t.txt")
+    if name == "write_scores":
+        return d / "s.txt", lambda: write_scores(trials, np.array([0.5, -0.25]), d / "s.txt")
+    if name == "write_mask_dump":
+        return d / "m.txt", lambda: write_mask_dump(d / "m.txt", [("a", SpeechMask(np.array([True, False]), 160))])
+    if name == "eval --out":
+        write_trials(trials, d / "t.txt")
+        write_scores(trials, np.array([0.5, -0.25]), d / "s.txt")
+        return d / "r.tsv", cli_writer("eval", "--trials", d / "t.txt", "--scores", d / "s.txt", "--out", d / "r.tsv")
+    if name == "sweep --out":
+        return d / "sweep.tsv", cli_writer(*sweep_inputs(d), "--out", d / "sweep.tsv")
+    assert name == "train --log"
+    return d / "log.tsv", cli_writer("train", "--manifest", corpus / "manifest.tsv", "--out", d / "m.bin",
+                                     "--steps", "3", "--warmup-steps", "1", "--batch-size", "4", "--hidden-dim", "8",
+                                     "--embed-dim", "4", "--chunk-frames", "50", "--log", d / "log.tsv", "--seed", "1")
+
+
+@pytest.fixture
+def disk_full(monkeypatch):
+    """disk_full(path): from then on, a write to path or to its staging
+    sibling `<path>.tmp` stores half its data and fails as a full disk does."""
+    real_open = io.open
+    targets = set()
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        f = real_open(file, mode, *args, **kwargs)
+        if "w" in mode and str(file) in targets:
+            real_write = f.write
+
+            def write(data):
+                real_write(data[: len(data) // 2])
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            f.write = write
+        return f
+
+    monkeypatch.setattr(builtins, "open", failing_open)
+    monkeypatch.setattr(io, "open", failing_open)
+    return lambda path: targets.update({str(path), f"{path}.tmp"})
+
+
+def file_digests(d):
+    return {str(p.relative_to(d)): hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(d.rglob("*")) if p.is_file()}
+
+
+TEXT_WRITERS = ["write_manifest", "write_trials", "write_scores", "write_mask_dump",
+                "eval --out", "sweep --out", "train --log"]
+
+
+@pytest.mark.parametrize("name", TEXT_WRITERS)
+def test_failed_text_write_keeps_old_file(corpus, tmp_path, disk_full, name):
+    path, write = text_writer(name, tmp_path, corpus)
+    write()
+    before = file_digests(tmp_path)
+    assert path.name in before
+    disk_full(path)
+    with pytest.raises(OSError):
+        write()
+    # the earlier file byte-identical, no temporary file left behind
+    assert file_digests(tmp_path) == before
 
 
 def test_failed_record_adds_no_file_to_out(tmp_path):

@@ -237,8 +237,9 @@ def test_failed_dump_rewrite_keeps_old_dump(tmp_path):
         (b"FBK1" + struct.pack("<ii", 1, 1) + bytes(4), "u 0\n"),  # index line without a tab
         (b"FBK1" + struct.pack("<i", 2), "u\t0\n"),  # truncated entry header
         (b"FBK1" + struct.pack("<ii", 2**28, 2**28), "u\t0\n"),  # a 2**58-byte read if trusted
+        (b"FBK1" + struct.pack("<ii", 1, 1) + bytes(4), "u\t" + "9" * 30 + "\n"),  # too large to seek to
     ],
-    ids=["index-no-tab", "short-header", "shape-past-eof"],
+    ids=["index-no-tab", "short-header", "shape-past-eof", "offset-past-eof"],
 )
 def test_dump_corrupt_header(tmp_path, blob, index):
     path = tmp_path / "f.bin"

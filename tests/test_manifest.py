@@ -1,11 +1,14 @@
+import os
 import re
 
 import numpy as np
 import pytest
 
+from padaug.audio_io import Waveform, write_wav
 from padaug.errors import CorruptHeaderError, InvalidConfigError
 from padaug.features import FeatureMatrix, write_feature_dump
-from padaug.manifest import UtteranceRecord, check_utt_id, read_manifest, write_manifest
+from padaug.manifest import UtteranceRecord, check_utt_id, map_records, read_manifest, staged, write_manifest
+from padaug.seeding import child_seed, make_rng
 
 
 def recs(base):
@@ -73,7 +76,7 @@ def test_blank_lines_skipped(tmp_path):
     assert len(read_manifest(p)) == 1
 
 
-BAD_UTT_IDS = {"empty": "", "space": "b c", "dotdot": "../../escaped", "slash": "dir/u1"}
+BAD_UTT_IDS = {"empty": "", "space": "b c", "dotdot": "../../escaped", "slash": "dir/u1", "nul": "u\0"}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_UTT_IDS))
@@ -90,3 +93,55 @@ def test_bad_utt_id_rejected_everywhere(tmp_path, case):
     assert not (tmp_path / "out.tsv").exists()
     with pytest.raises(InvalidConfigError):
         write_feature_dump(tmp_path / "f.bin", [(utt_id, FeatureMatrix(np.zeros((1, 2))))])
+
+
+def test_map_records_seeds_each_record_from_its_id(tmp_path):
+    records = []
+    for i, n in enumerate((100, 250, 40)):
+        write_wav(Waveform(np.zeros(n), 16000), tmp_path / f"u{i}.wav")
+        records.append(UtteranceRecord(f"u{i}", "s", str(tmp_path / f"u{i}.wav"), n, 16000))
+
+    def fn(rec, w, rng):
+        return rec.utt_id, len(w), None if rng is None else int(rng.integers(2**32))
+
+    out = map_records(records, fn, seed=7)
+    assert out == [(r.utt_id, r.num_samples, int(make_rng(child_seed(7, r.utt_id)).integers(2**32))) for r in records]
+    assert map_records(records[::-1], fn, seed=7) == out[::-1]  # not from the position
+    assert map_records(records, fn) == [(r.utt_id, r.num_samples, None) for r in records]
+
+
+def test_map_records_error_names_utterance(tmp_path):
+    records = [UtteranceRecord("gone01", "s", str(tmp_path / "missing.wav"), 1, 16000)]
+    with pytest.raises(FileNotFoundError, match="^utterance gone01: "):
+        map_records(records, lambda rec, w, rng: w)
+
+
+def test_staged_publishes_in_order(tmp_path, monkeypatch):
+    a, b = tmp_path / "new" / "a.txt", tmp_path / "b.txt"
+    b.write_text("old")
+    replaced = []
+    real_replace = os.replace
+    monkeypatch.setattr(os, "replace", lambda src, dst: (replaced.append(dst), real_replace(src, dst)))
+    with staged(a, b) as (ta, tb):
+        assert (ta, tb) == (tmp_path / "new" / "a.txt.tmp", tmp_path / "b.txt.tmp")
+        tb.write_text("new b")
+        ta.write_text("new a")
+        assert b.read_text() == "old"
+    assert replaced == [a, b]
+    assert (a.read_text(), b.read_text()) == ("new a", "new b")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["a.txt", "b.txt", "new"]
+    # the permission bits a plain open() gives
+    with open(tmp_path / "plain.txt", "w"):
+        pass
+    assert a.stat().st_mode == (tmp_path / "plain.txt").stat().st_mode
+
+
+def test_staged_failure_changes_nothing(tmp_path):
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text("old a")
+    with pytest.raises(RuntimeError), staged(a, b) as (ta, tb):
+        ta.write_text("new a")
+        tb.write_text("new b")
+        raise RuntimeError("failed half way")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt"]
+    assert a.read_text() == "old a"

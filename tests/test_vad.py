@@ -4,7 +4,7 @@ import pytest
 from padaug.audio_io import Waveform
 from padaug.errors import EmptyResultError, InvalidConfigError, LengthMismatchError, TooShortError
 from padaug.seeding import make_rng
-from padaug.vad import SpeechMask, VadConfig, detect, drop_silence, read_mask_dump, write_mask_dump
+from padaug.vad import SpeechMask, VadConfig, detect, drop_silence, write_mask_dump
 
 SR = 16000
 STEP = 160
@@ -102,14 +102,10 @@ def test_drop_silence_identity_and_errors():
         drop_silence(w, SpeechMask(np.ones(5, dtype=bool), STEP))
 
 
-def test_mask_dump_roundtrip(tmp_path):
+def test_mask_dump_text(tmp_path):
     masks = [
         ("a", SpeechMask(np.array([True, False, True]), STEP)),
         ("b", SpeechMask(np.zeros(5, dtype=bool), STEP)),
     ]
     write_mask_dump(tmp_path / "m.txt", masks)
-    text = (tmp_path / "m.txt").read_text()
-    assert "a\t101\n" in text
-    back = read_mask_dump(tmp_path / "m.txt", STEP)
-    assert back["a"].flags.tolist() == [True, False, True]
-    assert not back["b"].flags.any()
+    assert (tmp_path / "m.txt").read_bytes() == b"a\t101\nb\t00000\n"
