@@ -11,6 +11,7 @@ scaling a waveform by c shifts every above-floor output by exactly
 import functools
 import os
 import struct
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -87,6 +88,30 @@ def _hamming(win: int) -> np.ndarray:
     return window
 
 
+class _Workspace(threading.local):
+    """fbank's per-thread scratch from framing to Mel energies, reused from
+    call to call so that each call does not fault fresh temporaries in. The
+    buffers grow to the longest input the thread has seen. fbank never
+    writes the zero-padded columns frames[:, win:], so the buffers are
+    remade, at the current size, whenever (win, n_fft, n_mels) changes."""
+
+    key = None
+
+    def spectra(self, nf: int, win: int, n_fft: int, n_mels: int):
+        """(frames, spectrum, power, energies) views of nf rows each."""
+        if self.key != (win, n_fft, n_mels) or len(self.frames) < nf:
+            n_bins = n_fft // 2 + 1
+            self.frames = np.zeros((nf, n_fft))
+            self.spec = np.empty((nf, n_bins), dtype=np.complex128)
+            self.power = np.empty((nf, n_bins))
+            self.energies = np.empty((nf, n_mels))
+            self.key = (win, n_fft, n_mels)
+        return self.frames[:nf], self.spec[:nf], self.power[:nf], self.energies[:nf]
+
+
+_WORKSPACE = _Workspace()
+
+
 def fbank(w: Waveform, n_mels: int = N_MELS, dither: float = 0.0, rng: Rng | None = None) -> FeatureMatrix:
     """Log-Mel features; frames = 1 + floor((len - win) / hop). dither is
     the stddev of optional pre-FFT noise drawn from rng, 0 = off."""
@@ -103,16 +128,24 @@ def fbank(w: Waveform, n_mels: int = N_MELS, dither: float = 0.0, rng: Rng | Non
             raise InvalidConfigError("dither requires an rng")
         x = x + dither * rng.standard_normal(len(x))
     # Pre-emphasis over the whole signal; frames then share boundary context.
+    # Computed in place in pre, with no signal-length temporaries.
     pre = np.empty_like(x)
     pre[0] = x[0]
-    pre[1:] = x[1:] - PREEMPHASIS * x[:-1]
+    np.multiply(x[:-1], PREEMPHASIS, out=pre[1:])
+    np.subtract(x[1:], pre[1:], out=pre[1:])
 
-    frames = sliding_window_view(pre, win)[::hop] * _hamming(win)
-
+    view = sliding_window_view(pre, win)[::hop]
     n_fft = 1 << (win - 1).bit_length()  # next power of two >= win
-    power = np.abs(np.fft.rfft(frames, n=n_fft, axis=1)) ** 2
-    energies = power @ mel_filterbank(n_mels, n_fft, sr).T
-    out = np.log(np.maximum(energies, LOG_FLOOR))
+    # From here on every step writes into the thread's scratch, with the
+    # shapes the plain expressions had, so the results are bit-identical.
+    frames, spec, power, energies = _WORKSPACE.spectra(len(view), win, n_fft, n_mels)
+    np.multiply(view, _hamming(win), out=frames[:, :win])
+    np.fft.rfft(frames, axis=1, out=spec)  # frames is already zero-padded to n_fft
+    np.square(np.abs(spec, out=power), out=power)
+    np.matmul(power, mel_filterbank(n_mels, n_fft, sr).T, out=energies)
+    # The only fresh array, so no result aliases the scratch.
+    out = np.maximum(energies, LOG_FLOOR)
+    np.log(out, out=out)
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("non-finite filterbank output")
     return FeatureMatrix(out)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padaug.audio_io import Waveform
 from padaug.augment import (
@@ -163,3 +165,31 @@ def test_loop_pad():
 def test_short_input_still_reaches_t_max():
     out = pad_aug_utterance(speech(1200), PadAugConfig(t_min=5000, t_max=9000), make_rng(10))
     assert len(out.waveform) == 9000
+
+
+@st.composite
+def pad_configs(draw):
+    """Any config sample_layout accepts: its SNR range holds an integer."""
+    t_max = draw(st.integers(1, 2000))
+    snr = draw(st.integers(-10, 40))
+    return PadAugConfig(t_min=draw(st.integers(1, t_max)), t_max=t_max,
+                        snr_min_db=snr - draw(st.floats(0.0, 5.0)), snr_max_db=snr + draw(st.floats(0.0, 15.0)),
+                        use_mid=draw(st.booleans()))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(cfg=pad_configs(), seed=st.integers(0, 2**64 - 1), n=st.integers(1, 3000))
+def test_layout_and_output_properties(cfg, seed, n):
+    lo = sample_layout(cfg, make_rng(seed))
+    assert cfg.t_min <= lo.t_s <= cfg.t_max
+    assert lo.l_head + lo.l_mid + lo.l_tail == cfg.t_max - lo.t_s
+    assert min(lo.l_head, lo.l_mid, lo.l_tail) >= 0
+    assert cfg.use_mid or lo.l_mid == 0
+    assert 0 <= lo.p_mid <= lo.t_s
+
+    aug = pad_aug_utterance(speech(n, seed), cfg, make_rng(seed))
+    assert aug.layout == lo  # the pipeline draws its layout first
+    assert len(aug.waveform) == cfg.t_max
+    y = aug.waveform.samples
+    (a1, b1), (a2, b2) = aug.speech_index_ranges()
+    assert np.array_equal(np.concatenate([y[a1:b1], y[a2:b2]]), aug.chunk.samples)

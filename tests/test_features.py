@@ -1,4 +1,5 @@
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -94,6 +95,42 @@ def test_cached_constants_are_shared_read_only(monkeypatch):
     monkeypatch.setenv("PADAUG_THREADS", "2")
     waves = [Waveform(make_rng(i).standard_normal(SR * (1 + i % 3)), SR) for i in range(8)]
     got = worker_map(lambda w: fbank(w).values, waves)
+    assert all(np.array_equal(g, fbank_ref(w).values) for g, w in zip(got, waves))
+
+
+def noisy(sr, n, seed=0):
+    return Waveform(0.3 * make_rng(seed).standard_normal(n), sr)
+
+
+def test_scratch_reuse_matches_reference():
+    # One thread, so every call reuses the same scratch. 12 kHz has win 300
+    # but the same n_fft 512 as 16 kHz (win 400): scratch kept across that
+    # switch would feed the previous rate's samples in columns [300:400].
+    calls = [(16000, 11 * 16000, 80), (16000, 400, 80), (12000, 3 * 12000, 80),
+             (16000, 3 * 16000, 80), (16000, 3 * 16000, 1), (16000, 3 * 16000, 80)]
+    for i, (sr, n, n_mels) in enumerate(calls):
+        w = noisy(sr, n, seed=i)
+        assert np.array_equal(fbank(w, n_mels).values, fbank_ref(w, n_mels).values), (sr, n, n_mels)
+
+
+def test_result_does_not_alias_scratch():
+    a = fbank(noisy(SR, 3 * SR, seed=1))
+    saved = a.values.copy()
+    fbank(noisy(SR, 3 * SR, seed=2))
+    assert np.array_equal(a.values, saved)
+
+
+def test_threads_keep_their_own_scratch(monkeypatch):
+    # Runs of one rate with falling lengths, so that the threads reuse their
+    # scratch rather than remake it; one buffer shared by both would race.
+    monkeypatch.setenv("PADAUG_THREADS", "2")
+    waves = [noisy(sr, sr * 3 - 997 * j, seed=j) for sr in (16000, 12000, 8000) for j in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = worker_map(lambda w: fbank(w).values, waves)
+    finally:
+        sys.setswitchinterval(interval)
     assert all(np.array_equal(g, fbank_ref(w).values) for g, w in zip(got, waves))
 
 
