@@ -13,7 +13,8 @@ class CorruptHeaderError(PadAugError):
 
 
 class UnsupportedFormatError(PadAugError):
-    """WAV file is readable but not 16-bit mono PCM."""
+    """Audio is readable but not in a supported format: 16-bit mono PCM,
+    at a sample rate fbank can frame (above 50 Hz)."""
 
 
 class InvalidConfigError(PadAugError, ValueError):

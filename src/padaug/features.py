@@ -19,7 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import Waveform
-from .errors import CorruptHeaderError, InvalidConfigError, TooShortError, read_text
+from .errors import CorruptHeaderError, InvalidConfigError, TooShortError, UnsupportedFormatError, read_text
 from .manifest import check_utt_id, staged
 from .seeding import Rng, randint
 
@@ -120,6 +120,8 @@ def fbank(w: Waveform, n_mels: int = N_MELS, dither: float = 0.0, rng: Rng | Non
     sr = w.sample_rate_hz
     win = round(WIN_MS * sr / 1000.0)
     hop = round(HOP_MS * sr / 1000.0)
+    if hop < 1:  # win >= hop, so this also catches win < 1
+        raise UnsupportedFormatError(f"sample rate {sr} Hz gives a {HOP_MS:g} ms hop of 0 samples; fbank needs > 50 Hz")
     if len(w) < win:
         raise TooShortError(f"need at least {win} samples, got {len(w)}")
     x = w.samples

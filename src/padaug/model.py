@@ -3,9 +3,10 @@
 Architecture: per-frame affine + ReLU, temporal statistics pooling
 (mean and population std over time), a second affine down to the
 embedding size, L2 normalization, and an additive-angular-margin
-softmax head for training. Gradients are written out by hand; an
-independent finite-difference oracle in the test suite checks every
-parameter group.
+softmax head for training. Gradients are written out by hand, for a
+whole mini-batch in one call; an independent finite-difference oracle in
+the test suite checks every parameter group, and a one-utterance oracle
+checks that the batch sums exactly as one call per utterance would.
 
 Everything runs in float64 and all randomness flows from the config
 seed, so training twice with the same config is bit-identical.
@@ -108,115 +109,162 @@ def init_model(cfg: ToyModelConfig) -> ToyModel:
     )
 
 
+def _center(h: np.ndarray):
+    """Subtract the mean over time from h in place; return the mean and the
+    population variance. The variance is bit-identical to h.var(axis=0),
+    which also sums, divides by the count, subtracts, squares and sums."""
+    mu = h.mean(axis=0)
+    h -= mu
+    return mu, (h * h).sum(axis=0) / h.shape[0]
+
+
+def _floored_sd(var: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.maximum(var, VAR_FLOOR))
+
+
 def tsp_pool(h: np.ndarray) -> np.ndarray:
     """Mean and population std over time, std floored at sqrt(VAR_FLOOR)."""
-    h = np.asarray(h, dtype=np.float64)
+    h = np.array(h, dtype=np.float64)  # a copy, which _center overwrites
     if h.ndim != 2 or h.shape[0] < 2:
         raise TooFewFramesError(f"pooling needs >= 2 frames, got shape {h.shape}")
-    mu = h.mean(axis=0)
-    sd = np.sqrt(np.maximum(h.var(axis=0), VAR_FLOOR))
-    return np.concatenate([mu, sd])
+    mu, var = _center(h)
+    return np.concatenate([mu, _floored_sd(var)])
 
 
-@dataclass
-class _Cache:
-    f: np.ndarray
-    h_pre: np.ndarray
-    h: np.ndarray
-    pooled: np.ndarray  # [mean, sd] from tsp_pool
-    z: np.ndarray
-    z_norm: float
-    emb: np.ndarray
+def _matvecs(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a @ v[i] for every row of v, one BLAS gemv per row, so each row
+    rounds as the one-vector product does (one GEMM over the batch does not)."""
+    return np.matmul(a, v[:, :, None])[:, :, 0]
 
 
-def _forward(m: ToyModel, f: FeatureMatrix) -> _Cache:
-    x = f.values
-    if x.shape[1] != m.input_dim:
-        raise DimMismatchError(f"features have {x.shape[1]} dims, model expects {m.input_dim}")
-    h_pre = x @ m.w1.T + m.b1
-    h = np.maximum(h_pre, 0.0)
-    pooled = tsp_pool(h)
-    z = m.w2 @ pooled + m.b2
-    z_norm = float(np.linalg.norm(z))
-    emb = z / z_norm if z_norm > 0.0 else np.zeros_like(z)
-    return _Cache(f=x, h_pre=h_pre, h=h, pooled=pooled, z=z, z_norm=z_norm, emb=emb)
+def _forward(m: ToyModel, feats):
+    """Forward pass over a batch of utterances of any lengths.
+
+    Returns pooled [mean, sd] (B, 2*hidden), |z| (B,), the embeddings
+    (B, embed) and, per utterance, (x, h - mean, h > 0) for the backward
+    pass. The frame layer runs per utterance, into row blocks of one
+    (total frames, hidden) array; everything after pooling runs on the
+    whole batch.
+    """
+    b, hid = len(feats), m.hidden_dim
+    for f in feats:
+        if f.dims != m.input_dim:
+            raise DimMismatchError(f"features have {f.dims} dims, model expects {m.input_dim}")
+        if f.frames < 2:
+            raise TooFewFramesError(f"pooling needs >= 2 frames, got {f.frames}")
+    rows = sum(f.frames for f in feats)
+    centered, active = np.empty((rows, hid)), np.empty((rows, hid), dtype=bool)
+    mus, variances = np.empty((b, hid)), np.empty((b, hid))
+    frames, start = [], 0
+    for i, f in enumerate(feats):
+        x, t = f.values, f.frames
+        h, mask = centered[start : start + t], active[start : start + t]
+        start += t
+        np.matmul(x, m.w1.T, out=h)
+        h += m.b1
+        np.maximum(h, 0.0, out=h)
+        np.greater(h, 0.0, out=mask)
+        mus[i], variances[i] = _center(h)
+        frames.append((x, h, mask))
+    pooled = np.concatenate([mus, _floored_sd(variances)], axis=1)
+    z = _matvecs(m.w2, pooled) + m.b2
+    z_norm = np.sqrt(np.vecdot(z, z))
+    emb = np.divide(z, z_norm[:, None], out=np.zeros_like(z), where=z_norm[:, None] > 0.0)
+    return pooled, z_norm, emb, frames
 
 
 def forward(m: ToyModel, f: FeatureMatrix) -> np.ndarray:
     """Embedding for one utterance; unit norm unless the model is degenerate."""
-    return _forward(m, f).emb
+    return _forward(m, [f])[2][0]
 
 
-def zero_grads(m: ToyModel):
-    return {k: np.zeros_like(v) for k, v in m.params().items()}
+def aam_loss(emb: np.ndarray, labels, m: ToyModel, margin: float, s: float):
+    """AAM-softmax loss for a batch of (already normalized) embeddings.
 
-
-def aam_loss(emb: np.ndarray, label: int, m: ToyModel, margin: float, s: float):
-    """AAM-softmax loss for one (already normalized) embedding.
-
-    Returns (loss, d_emb, d_head). The true-class logit is
-    s*cos(min(theta + margin, pi)); the pi clamp keeps loss monotone in
-    the margin for any angle.
+    Returns (loss per item, d_emb per item, d_head summed over the batch
+    from zero). The true-class logit is s*cos(min(theta + margin, pi));
+    the pi clamp keeps loss monotone in the margin for any angle.
     """
-    if not 0 <= label < m.n_speakers:
-        raise InvalidLabelError(f"label {label} outside [0, {m.n_speakers})")
+    labels = np.asarray(labels)
+    if labels.shape != (len(emb),):
+        raise DimMismatchError(f"{len(emb)} embeddings but labels of shape {labels.shape}")
+    # Checked here, not by indexing: a label of -1 would wrap.
+    outside = (labels < 0) | (labels >= m.n_speakers)
+    if outside.any():
+        raise InvalidLabelError(f"label {labels[outside][0]} outside [0, {m.n_speakers})")
     head = m.head
     norms = np.linalg.norm(head, axis=1)
     if np.any(norms == 0.0):
         raise InvalidConfigError("head row with zero norm")
     wn = head / norms[:, None]
-    cos = wn @ emb
-    cos_y = np.clip(cos[label], -1.0 + 1e-12, 1.0 - 1e-12)
-    theta = np.arccos(cos_y)
+    true = np.arange(len(labels)), labels
+    cos = _matvecs(wn, emb)
+    theta = np.arccos(np.clip(cos[true], -1.0 + 1e-12, 1.0 - 1e-12))
     clamped = theta + margin >= np.pi
-    psi = np.cos(min(theta + margin, np.pi))
     logits = s * cos
-    logits[label] = s * psi
-    shifted = logits - logits.max()
+    logits[true] = s * np.cos(np.minimum(theta + margin, np.pi))
+    shifted = logits - logits.max(axis=1, keepdims=True)
     expv = np.exp(shifted)
-    p = expv / expv.sum()
-    loss = float(np.log(expv.sum()) - shifted[label])
+    total = expv.sum(axis=1, keepdims=True)
+    loss = np.log(total[:, 0]) - shifted[true]
 
     # dL/dlogit = p - onehot; chain the margin through the true class only.
-    dlogit = p.copy()
-    dlogit[label] -= 1.0
+    dlogit = expv / total
+    dlogit[true] -= 1.0
     dcos = s * dlogit
-    dpsi_dcos = 0.0 if clamped else np.sin(theta + margin) / np.sin(theta)
-    dcos[label] *= dpsi_dcos
-    d_emb = wn.T @ dcos
-    d_head = (dcos[:, None] * (emb[None, :] - cos[:, None] * wn)) / norms[:, None]
-    return loss, d_emb, d_head
+    dcos[true] *= np.where(clamped, 0.0, np.sin(theta + margin) / np.sin(theta))
+    d_emb = _matvecs(wn.T, dcos)
+    d_head = (dcos[:, :, None] * (emb[:, None, :] - cos[:, :, None] * wn)) / norms[:, None]
+    return loss, d_emb, np.add.reduce(d_head, axis=0, initial=0.0)
+
+
+def batch_loss_and_grads(m: ToyModel, feats, labels, margin: float, s: float):
+    """Loss and gradients for every parameter group, summed over a batch.
+
+    Bit-identical to adding the one-utterance results left to right,
+    starting from zero: per-item matrix products stay per item, and every
+    sum over the batch runs in item order.
+    """
+    pooled, z_norm, emb, frames = _forward(m, feats)
+    losses, d_emb, d_head = aam_loss(emb, labels, m, margin, s)
+
+    # Through L2 normalization: z = emb * |z|.
+    dz = np.divide(d_emb - np.vecdot(d_emb, emb)[:, None] * emb, z_norm[:, None],
+                   out=np.zeros_like(d_emb), where=z_norm[:, None] > 0.0)
+    dpooled = _matvecs(m.w2.T, dz)
+
+    hid = m.hidden_dim
+    sd = pooled[:, hid:]
+    dmu, dsd = dpooled[:, :hid], dpooled[:, hid:]
+    # sd = sqrt(var); flat where the floor is active.
+    dvar = np.where(sd > np.sqrt(VAR_FLOOR), dsd / (2.0 * sd), 0.0)
+    gw1, gb1, tmp = np.zeros_like(m.w1), np.zeros_like(m.b1), np.empty_like(m.w1)
+    for (x, dh, mask), dmu_i, dvar_i in zip(frames, dmu, dvar):
+        # var as a function of h has derivative 2(h - mu)/t; the mu path
+        # adds dmu/t. dh starts as h - mu and becomes dL/dh_pre in place.
+        t = x.shape[0]
+        dh *= (2.0 / t) * dvar_i
+        dh += dmu_i / t
+        dh *= mask
+        gw1 += np.matmul(dh.T, x, out=tmp)
+        gb1 += dh.sum(axis=0)
+
+    # A Python loop, not sum(), which compensates float rounding on 3.12+.
+    total = 0.0
+    for loss in losses.tolist():
+        total += loss
+    return total, {
+        "w1": gw1,
+        "b1": gb1,
+        "w2": np.add.reduce(dz[:, :, None] * pooled[:, None, :], axis=0, initial=0.0),
+        "b2": np.add.reduce(dz, axis=0, initial=0.0),
+        "head": d_head,
+    }
 
 
 def loss_and_grads(m: ToyModel, f: FeatureMatrix, label: int, margin: float, s: float):
     """Loss plus gradients for every parameter group, one utterance."""
-    c = _forward(m, f)
-    loss, d_emb, d_head = aam_loss(c.emb, label, m, margin, s)
-
-    # Through L2 normalization: z = emb * |z|.
-    if c.z_norm > 0.0:
-        dz = (d_emb - np.dot(d_emb, c.emb) * c.emb) / c.z_norm
-    else:
-        dz = np.zeros_like(d_emb)
-
-    dpooled = m.w2.T @ dz
-
-    hid = m.hidden_dim
-    t = c.h.shape[0]
-    mu, sd = c.pooled[:hid], c.pooled[hid:]
-    dmu, dsd = dpooled[:hid], dpooled[hid:]
-    # sd = sqrt(var); flat where the floor is active.
-    dvar = np.where(sd > np.sqrt(VAR_FLOOR), dsd / (2.0 * sd), 0.0)
-    # var as a function of h has derivative 2(h - mu)/t; the mu path adds dmu/t.
-    dh = dmu / t + (2.0 / t) * dvar * (c.h - mu)
-    dh_pre = dh * (c.h_pre > 0.0)
-    return loss, {
-        "w1": dh_pre.T @ c.f,
-        "b1": dh_pre.sum(axis=0),
-        "w2": np.outer(dz, c.pooled),
-        "b2": dz,
-        "head": d_head,
-    }
+    return batch_loss_and_grads(m, [f], [label], margin, s)
 
 
 def schedule(step: int, cfg: ToyModelConfig):
@@ -310,13 +358,7 @@ def train(cfg: ToyModelConfig, ts: TrainingSet, pad_cfg: PadAugConfig | None = N
         feats = batch_features(indices, seeds)
 
         margin, lr = schedule(step + 1, cfg)
-        total_loss = 0.0
-        grads = zero_grads(model)
-        for f, idx in zip(feats, indices):
-            loss, g = loss_and_grads(model, f, int(ts.labels[idx]), margin, cfg.scale)
-            total_loss += loss
-            for k in grads:
-                grads[k] += g[k]
+        total_loss, grads = batch_loss_and_grads(model, feats, ts.labels[indices], margin, cfg.scale)
         inv = 1.0 / len(indices)
         for k, p in model.params().items():
             p -= lr * inv * grads[k]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,6 +137,49 @@ def test_assemble_length_mismatch():
     lo = PaddingLayout(t_s=500, l_head=10, l_mid=0, l_tail=0, p_mid=0, snr_db=20)
     with pytest.raises(LengthMismatchError):
         assemble(x, lo, Waveform(np.zeros(9), SR))
+
+
+@st.composite
+def hand_layouts(draw):
+    """Any layout assemble accepts, drawn field by field, not by sample_layout."""
+    t_s = draw(st.integers(0, 400))
+    return PaddingLayout(t_s=t_s, l_head=draw(st.integers(0, 300)), l_mid=draw(st.integers(0, 300)),
+                         l_tail=draw(st.integers(0, 300)), p_mid=draw(st.integers(0, t_s)), snr_db=20.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(lo=hand_layouts(), k=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
+def test_assemble_on_hand_made_layouts(lo, k, seed):
+    rng = make_rng(seed)
+    chunk = Waveform(rng.standard_normal(lo.t_s), SR)
+    noise = Waveform(rng.standard_normal(lo.l_pad), SR)
+    y = assemble(chunk, lo, noise).samples
+    x, n = chunk.samples, noise.samples
+    head, mid, p = lo.l_head, lo.l_mid, lo.p_mid
+    assert len(y) == lo.t_s + lo.l_pad
+    # speech in two slices around the mid noise, unmodified
+    assert np.array_equal(y[head : head + p], x[:p])
+    assert np.array_equal(y[head + p + mid : head + mid + lo.t_s], x[p:])
+    # head, mid and tail noise, taken from the noise in that order
+    assert np.array_equal(y[:head], n[:head])
+    assert np.array_equal(y[head + p : head + p + mid], n[head : head + mid])
+    assert np.array_equal(y[head + mid + lo.t_s :], n[head + mid :])
+
+    # one bad field at a time; a negative length keeps l_pad, so only
+    # the sign check can catch it
+    bad = [(replace(lo, p_mid=-k), chunk, noise), (replace(lo, p_mid=lo.t_s + k), chunk, noise)]
+    for field, other in (("l_head", "l_tail"), ("l_mid", "l_head"), ("l_tail", "l_mid")):
+        moved = getattr(lo, other) + getattr(lo, field) + k
+        bad.append((replace(lo, **{field: -k, other: moved}), chunk, noise))
+    for t in (lo.t_s - k, lo.t_s + k):
+        if t >= 0:
+            bad.append((lo, Waveform(np.zeros(t), SR), noise))
+    for t in (lo.l_pad - k, lo.l_pad + k):
+        if t >= 0:
+            bad.append((lo, chunk, Waveform(np.zeros(t), SR)))
+    for layout, c, z in bad:
+        with pytest.raises(LengthMismatchError):
+            assemble(c, layout, z)
 
 
 def test_reconstruction_oracle():

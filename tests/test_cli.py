@@ -341,6 +341,17 @@ def test_empty_wav_error_names_utterance(model_file, tmp_path, capsys):
         assert "utterance empty01" in capsys.readouterr().err
 
 
+def test_featurize_rate_too_low_to_frame(tmp_path, capsys):
+    # at 50 Hz or less the 10 ms hop rounds to 0 samples
+    write_wav(Waveform(0.1 * np.sin(np.arange(400)), 40), tmp_path / "slow.wav")
+    write_manifest([UtteranceRecord("slow01", "s0", str(tmp_path / "slow.wav"), 400, 40)], tmp_path / "m.tsv")
+    capsys.readouterr()
+    assert main(["featurize", "--manifest", str(tmp_path / "m.tsv"), "--out", str(tmp_path / "f.bin")]) == 1
+    err = capsys.readouterr().err
+    assert "utterance slow01" in err and "sample rate 40 Hz" in err
+    assert not (tmp_path / "f.bin").exists()
+
+
 @pytest.mark.parametrize("field", ["utt_id", "speaker_id", "wav_path"])
 def test_nul_in_manifest_is_pipeline_error(corpus, tmp_path, capsys, field):
     # an exception escaping main is the traceback the user would see

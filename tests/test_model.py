@@ -17,10 +17,12 @@ from padaug.errors import (
 from padaug.features import FeatureMatrix
 from padaug.model import (
     CHECKPOINT_MAGIC,
+    VAR_FLOOR,
     ToyModel,
     ToyModelConfig,
     TrainingSet,
     aam_loss,
+    batch_loss_and_grads,
     forward,
     init_model,
     load_model,
@@ -44,7 +46,10 @@ def small_cfg(seed=0, **kw):
 
 
 def numeric_gradients(m, feats, label, margin, s, eps=1e-5):
-    """Central-difference gradients for every parameter group."""
+    """Central-difference gradients for every parameter group. feats and
+    label are one utterance and its label, or lists of them (summed loss)."""
+    if isinstance(feats, FeatureMatrix):
+        feats, label = [feats], [label]
     out = {}
     for name, p in m.params().items():
         num = np.zeros_like(p)
@@ -53,13 +58,133 @@ def numeric_gradients(m, feats, label, margin, s, eps=1e-5):
             i = it.multi_index
             orig = p[i]
             p[i] = orig + eps
-            lp, _ = loss_and_grads(m, feats, label, margin, s)
+            lp, _ = batch_loss_and_grads(m, feats, label, margin, s)
             p[i] = orig - eps
-            lm, _ = loss_and_grads(m, feats, label, margin, s)
+            lm, _ = batch_loss_and_grads(m, feats, label, margin, s)
             p[i] = orig
             num[i] = (lp - lm) / (2 * eps)
         out[name] = num
     return out
+
+
+# ---------------------------------------------------------------------------
+# The one-utterance model math, written out plainly: the oracle that the
+# batch code must match bit for bit.
+
+
+def _forward_ref(m, x):
+    h_pre = x @ m.w1.T + m.b1
+    h = np.maximum(h_pre, 0.0)
+    mu = h.mean(axis=0)
+    pooled = np.concatenate([mu, np.sqrt(np.maximum(h.var(axis=0), VAR_FLOOR))])
+    z = m.w2 @ pooled + m.b2
+    z_norm = float(np.linalg.norm(z))
+    emb = z / z_norm if z_norm > 0.0 else np.zeros_like(z)
+    return h_pre, h, pooled, z_norm, emb
+
+
+def _aam_loss_ref(emb, label, m, margin, s):
+    norms = np.linalg.norm(m.head, axis=1)
+    wn = m.head / norms[:, None]
+    cos = wn @ emb
+    cos_y = np.clip(cos[label], -1.0 + 1e-12, 1.0 - 1e-12)
+    theta = np.arccos(cos_y)
+    clamped = theta + margin >= np.pi
+    psi = np.cos(min(theta + margin, np.pi))
+    logits = s * cos
+    logits[label] = s * psi
+    shifted = logits - logits.max()
+    expv = np.exp(shifted)
+    p = expv / expv.sum()
+    loss = float(np.log(expv.sum()) - shifted[label])
+    dlogit = p.copy()
+    dlogit[label] -= 1.0
+    dcos = s * dlogit
+    dpsi_dcos = 0.0 if clamped else np.sin(theta + margin) / np.sin(theta)
+    dcos[label] *= dpsi_dcos
+    d_emb = wn.T @ dcos
+    d_head = (dcos[:, None] * (emb[None, :] - cos[:, None] * wn)) / norms[:, None]
+    return loss, d_emb, d_head
+
+
+def loss_and_grads_ref(m, x, label, margin, s):
+    h_pre, h, pooled, z_norm, emb = _forward_ref(m, x)
+    loss, d_emb, d_head = _aam_loss_ref(emb, label, m, margin, s)
+    if z_norm > 0.0:
+        dz = (d_emb - np.dot(d_emb, emb) * emb) / z_norm
+    else:
+        dz = np.zeros_like(d_emb)
+    dpooled = m.w2.T @ dz
+    hid = m.hidden_dim
+    t = h.shape[0]
+    mu, sd = pooled[:hid], pooled[hid:]
+    dmu, dsd = dpooled[:hid], dpooled[hid:]
+    dvar = np.where(sd > np.sqrt(VAR_FLOOR), dsd / (2.0 * sd), 0.0)
+    dh = dmu / t + (2.0 / t) * dvar * (h - mu)
+    dh_pre = dh * (h_pre > 0.0)
+    return loss, {
+        "w1": dh_pre.T @ x,
+        "b1": dh_pre.sum(axis=0),
+        "w2": np.outer(dz, pooled),
+        "b2": dz,
+        "head": d_head,
+    }
+
+
+def oracle_model(n_speakers, kind, seed=0):
+    """A model at the shipped sizes; "dead_unit" has a hidden unit that is
+    never active (its sd sits on the floor), "zero_w2" has z = 0."""
+    m = init_model(ToyModelConfig(n_speakers=n_speakers, seed=seed))
+    if kind == "dead_unit":
+        m.w1[3] = 0.0
+        m.b1[3] = -1.0
+    elif kind == "zero_w2":
+        m.w2[:] = 0.0
+        m.b2[:] = 0.0
+    return m
+
+
+@pytest.mark.parametrize("n_speakers", [2, 200])
+@pytest.mark.parametrize("batch", [1, 3, 32])
+@pytest.mark.parametrize("frames", [2, 300])
+def test_batch_matches_per_utterance_oracle(n_speakers, batch, frames):
+    rng = make_rng(n_speakers * 1000 + batch * 10 + frames)
+    for kind in ("plain", "dead_unit", "zero_w2"):
+        m = oracle_model(n_speakers, kind)
+        feats = [FeatureMatrix(rng.standard_normal((frames, m.input_dim))) for _ in range(batch)]
+        labels = rng.integers(0, n_speakers, batch)
+        # 3.0 clamps theta + margin at pi for every item: |cos| stays far below 1
+        emb = np.array([forward(m, f) for f in feats])
+        assert np.all(np.abs(emb @ m.head.T) < 0.9 * np.linalg.norm(m.head, axis=1))
+        for margin in (0.0, 0.2, 3.0):
+            loss, grads = batch_loss_and_grads(m, feats, labels, margin, 32.0)
+            ref_loss, ref_grads = 0.0, {k: np.zeros_like(v) for k, v in m.params().items()}
+            for f, label in zip(feats, labels):
+                one_loss, one = loss_and_grads_ref(m, f.values, int(label), margin, 32.0)
+                ref_loss += one_loss
+                for k in ref_grads:
+                    ref_grads[k] += one[k]
+            assert loss == ref_loss, (kind, margin)
+            for k in ref_grads:
+                assert np.array_equal(grads[k], ref_grads[k]), (kind, margin, k)
+
+
+def test_forward_matches_oracle_at_any_length():
+    m = oracle_model(10, "plain", seed=3)
+    rng = make_rng(12)
+    for frames in (2, 3, 17, 298, 300, 1101):
+        x = rng.standard_normal((frames, m.input_dim))
+        assert np.array_equal(forward(m, FeatureMatrix(x)), _forward_ref(m, x)[-1]), frames
+
+
+def test_labels_outside_range_rejected():
+    m = oracle_model(5, "plain")
+    feats = [FeatureMatrix(make_rng(i).standard_normal((4, m.input_dim))) for i in range(2)]
+    for bad in (-1, 5):
+        with pytest.raises(InvalidLabelError):
+            batch_loss_and_grads(m, feats, [0, bad], 0.2, 32.0)
+        with pytest.raises(InvalidLabelError):
+            loss_and_grads(m, feats[0], bad, 0.2, 32.0)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +263,7 @@ def test_margin_zero_matches_plain_softmax():
     m = init_model(small_cfg(4))
     emb = make_rng(3).standard_normal(4)
     emb /= np.linalg.norm(emb)
-    loss, _, _ = aam_loss(emb, 1, m, margin=0.0, s=32.0)
+    (loss,), _, _ = aam_loss(emb[None], [1], m, margin=0.0, s=32.0)
     wn = m.head / np.linalg.norm(m.head, axis=1, keepdims=True)
     logits = 32.0 * wn @ emb
     oracle = np.log(np.exp(logits - logits.max()).sum()) - (logits[1] - logits.max())
@@ -149,35 +274,43 @@ def test_loss_monotone_in_margin():
     m = init_model(small_cfg(5))
     emb = make_rng(4).standard_normal(4)
     emb /= np.linalg.norm(emb)
-    losses = [aam_loss(emb, 2, m, margin=mg, s=32.0)[0] for mg in np.linspace(0, 1.5, 12)]
+    losses = [aam_loss(emb[None], [2], m, margin=mg, s=32.0)[0][0] for mg in np.linspace(0, 1.5, 12)]
     assert all(b >= a - 1e-12 for a, b in zip(losses, losses[1:]))
 
 
 def test_margin_hurts_aligned_embedding():
     m = init_model(small_cfg(6))
     emb = m.head[0] / np.linalg.norm(m.head[0])
-    l0, _, _ = aam_loss(emb, 0, m, margin=0.0, s=32.0)
-    lm, _, _ = aam_loss(emb, 0, m, margin=0.2, s=32.0)
+    (l0,), _, _ = aam_loss(emb[None], [0], m, margin=0.0, s=32.0)
+    (lm,), _, _ = aam_loss(emb[None], [0], m, margin=0.2, s=32.0)
     assert lm > l0
 
 
 def test_invalid_label():
     m = init_model(small_cfg(7))
     emb = np.ones(4) / 2.0
-    with pytest.raises(InvalidLabelError):
-        aam_loss(emb, 5, m, margin=0.1, s=32.0)
+    for bad in (5, -1):
+        with pytest.raises(InvalidLabelError):
+            aam_loss(emb[None], [bad], m, margin=0.1, s=32.0)
 
 
 def test_gradients_match_finite_differences():
     # moderate-loss instances; tiny entries are compared absolutely via the
-    # 1e-6 denominator guard (|a|+|b| below guard means noise-floor regime)
-    for seed in (9, 28):
-        cfg = small_cfg(seed)
-        m = init_model(cfg)
-        feats = FeatureMatrix(make_rng(1000 + seed).standard_normal((7, 6)))
-        loss, g = loss_and_grads(m, feats, 2, 0.2, 32.0)
+    # 1e-6 denominator guard (|a|+|b| below guard means noise-floor regime).
+    # The last instance is a batch of three, its loss summed.
+    rng = make_rng(1040)
+    batch = [FeatureMatrix(rng.standard_normal((t, 6))) for t in (7, 5, 9)]
+    for seed, feats, label in ((9, FeatureMatrix(make_rng(1009).standard_normal((7, 6))), 2),
+                               (28, FeatureMatrix(make_rng(1028).standard_normal((7, 6))), 2),
+                               (9, batch, [2, 1, 3])):
+        m = init_model(small_cfg(seed))
+        if isinstance(feats, FeatureMatrix):
+            loss, g = loss_and_grads(m, feats, label, 0.2, 32.0)
+        else:
+            loss, g = batch_loss_and_grads(m, feats, label, 0.2, 32.0)
+            loss /= len(feats)
         assert 0.1 < loss < 10.0
-        num = numeric_gradients(m, feats, 2, 0.2, 32.0)
+        num = numeric_gradients(m, feats, label, 0.2, 32.0)
         for name in g:
             rel = np.abs(num[name] - g[name]) / np.maximum(np.abs(num[name]) + np.abs(g[name]), 1e-6)
             assert rel.max() < 1e-4, f"{name}: {rel.max()}"
