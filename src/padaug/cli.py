@@ -24,7 +24,7 @@ from .manifest import map_records, map_wavs, read_manifest, staged
 from .metrics import det_metrics, format_report, read_scores, read_trials, score_trials, write_scores
 from .model import ToyModelConfig, embed_utterance, load_model, load_training_set, save_model, train
 from .synth import build_corpus
-from .testset import NAMED_VARIANTS, PLACEMENTS, TEST_SNR_DB, VARIANT_KINDS, build_testset, ratio_sweep
+from .testset import CHUNK_SECONDS, NAMED_VARIANTS, PLACEMENTS, TEST_SNR_DB, VARIANT_KINDS, build_testset, ratio_sweep
 from .vad import VadConfig, detect, drop_silence, write_mask_dump
 from .workers import worker_count
 
@@ -222,12 +222,18 @@ def _cmd_eval(args) -> int:
 def _cmd_sweep(args) -> int:
     records = read_manifest(args.manifest)
     trials = read_trials(args.trials)
-    models = []
+    specs = {}
     for spec in args.model:
-        if "=" not in spec:
+        name, eq, path = spec.partition("=")
+        if not eq:
             raise InvalidConfigError(f"--model wants NAME=PATH, got {spec!r}")
-        name, path = spec.split("=", 1)
-        models.append((name, load_model(path)))
+        # NAME fills one cell of the table: one non-empty line, no tab
+        if "\t" in name or name.splitlines() != [name]:
+            raise InvalidConfigError(f"--model NAME must be non-empty, without tab or line break, got {name!r}")
+        if name in specs:
+            raise InvalidConfigError(f"--model NAME {name!r} given twice")
+        specs[name] = path
+    models = [(name, load_model(path)) for name, path in specs.items()]
     work_dir = Path(args.work_dir) if args.work_dir else Path(str(args.out) + ".work")
     snr = None if args.zero_pad else args.snr_db
 
@@ -236,8 +242,8 @@ def _cmd_sweep(args) -> int:
                         placement=args.placement, snr_db=snr, p_target=args.p_target)
     for k, rows in sweep:
         for name, m in rows:
-            lines.append(f"{name}\t{k}\t{k / 3.0:.4f}\t{m.eer:.6f}\t{m.min_dcf:.6f}")
-            print(f"ratio {k}/3 {name}: eer {m.eer:.4f} min_dcf {m.min_dcf:.4f}", file=sys.stderr)
+            lines.append(f"{name}\t{k}\t{k / CHUNK_SECONDS:.4f}\t{m.eer:.6f}\t{m.min_dcf:.6f}")
+            print(f"ratio {k}/{CHUNK_SECONDS:g} {name}: eer {m.eer:.4f} min_dcf {m.min_dcf:.4f}", file=sys.stderr)
     with staged(args.out) as (tmp,):
         tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote sweep table to {args.out}")

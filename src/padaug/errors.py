@@ -14,7 +14,7 @@ class CorruptHeaderError(PadAugError):
 
 class UnsupportedFormatError(PadAugError):
     """Audio is readable but not in a supported format: 16-bit mono PCM,
-    at a sample rate fbank can frame (above 50 Hz)."""
+    at a sample rate fbank and the VAD can frame (above 50 Hz)."""
 
 
 class InvalidConfigError(PadAugError, ValueError):

@@ -6,17 +6,17 @@ a dataset directory can be moved wholesale.
 
 map_records is the one read path: it reads each record's WAV and applies
 a transform with the record's own generator, seeded from (seed, utt_id).
-map_wavs builds on it to write a WAV dataset directory (`<utt_id>.wav` per
-record plus `manifest.tsv`). staged is the one publish path for every
-other output file: it writes temporary siblings and moves them into place
-only once they are complete.
+staged is the one publish path for every file the package writes, WAV
+dataset directories included: it creates the missing parent directories,
+writes temporary siblings and moves them into place only once all of them
+are complete; a failure removes the temporaries and the directories it
+created. map_wavs writes a WAV dataset directory (`<utt_id>.wav` per
+record plus `manifest.tsv`) through one staged block.
 """
 
 import os
-import shutil
-import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .audio_io import read_wav, write_wav
@@ -54,18 +54,24 @@ def _check_field(value: str, name: str) -> str:
 
 @contextmanager
 def staged(*paths):
-    """Yield a `<path>.tmp` sibling for each path, parent directories
-    created. Once the block succeeds they are os.replace'd into place in
-    the order given; if it raises they are unlinked and no path changes."""
+    """Yield a `<path>.tmp` sibling for each path, each missing parent
+    directory created once. Once the block succeeds they are os.replace'd
+    into place in the order given; if it raises they are unlinked, the
+    directories created here are removed, and no path changes."""
     paths = [Path(p) for p in paths]
     tmps = tuple(Path(f"{p}.tmp") for p in paths)
-    for p in paths:
-        p.parent.mkdir(parents=True, exist_ok=True)
+    made = []
     try:
+        for d in dict.fromkeys(p.parent for p in paths):
+            for new in reversed([a for a in (d, *d.parents) if not a.exists()]):
+                new.mkdir()
+                made.append(new)
         yield tmps
     except BaseException:
         for tmp in tmps:
             tmp.unlink(missing_ok=True)
+        for d in reversed(made):
+            d.rmdir()
         raise
     for tmp, p in zip(tmps, paths):
         os.replace(tmp, p)
@@ -156,29 +162,22 @@ def map_wavs(records, out_dir, fn, seed=None):
     record through map_records, plus out_dir/manifest.tsv; returns the new
     records in input order.
 
-    All or nothing: the files are written into a temporary sibling of
-    out_dir and moved into out_dir, manifest last, only once every record
-    has succeeded. On failure only the temporary directory is removed, so
-    out_dir gains no file and loses none.
+    All or nothing: the WAVs and then the manifest are published by one
+    staged block once every record has succeeded, so a failed run adds no
+    file or directory and removes none.
     """
     out_dir = Path(out_dir)
-    out_dir.parent.mkdir(parents=True, exist_ok=True)
-    staging = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=out_dir.parent))
+    for rec in records:
+        check_utt_id(rec.utt_id)  # before any path is built from it
+    wav_paths = {rec.utt_id: out_dir / f"{rec.utt_id}.wav" for rec in records}
+    with staged(*wav_paths.values(), out_dir / "manifest.tsv") as tmps:
+        tmp_of = dict(zip(wav_paths, tmps))
 
-    def one(rec: UtteranceRecord, w, rng) -> UtteranceRecord:
-        out = fn(rec, w, rng)
-        dst = staging / f"{rec.utt_id}.wav"
-        write_wav(out, dst)
-        return UtteranceRecord(rec.utt_id, rec.speaker_id, str(dst), len(out), out.sample_rate_hz)
+        def one(rec: UtteranceRecord, w, rng) -> UtteranceRecord:
+            out = fn(rec, w, rng)
+            write_wav(out, tmp_of[rec.utt_id])
+            return UtteranceRecord(rec.utt_id, rec.speaker_id, str(wav_paths[rec.utt_id]), len(out), out.sample_rate_hz)
 
-    try:
-        written = map_records(records, one, seed)
-        write_manifest(written, staging / "manifest.tsv")
-        out_dir.mkdir(exist_ok=True)
-        new_records = [replace(rec, wav_path=str(out_dir / f"{rec.utt_id}.wav")) for rec in written]
-        for src, dst in zip(written, new_records):
-            os.replace(src.wav_path, dst.wav_path)
-        os.replace(staging / "manifest.tsv", out_dir / "manifest.tsv")
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
+        new_records = map_records(records, one, seed)
+        write_manifest(new_records, tmps[-1])
     return new_records

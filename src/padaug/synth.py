@@ -18,7 +18,7 @@ from scipy.signal import lfilter
 
 from .audio_io import Waveform, write_wav
 from .errors import DatasetTooSmallError, InvalidConfigError
-from .manifest import UtteranceRecord, write_manifest
+from .manifest import UtteranceRecord, staged, write_manifest
 from .metrics import Trials, write_trials
 from .seeding import Rng, child_seed, make_rng
 from .workers import worker_map
@@ -136,33 +136,32 @@ def make_trials(records, rng: Rng):
 
 
 def build_corpus(n_speakers: int, n_utts_per_speaker: int, duration_s: float, out_dir, seed: int):
-    """Write WAVs, a manifest, and a trial list; returns (records, trials)."""
+    """Write WAVs, a manifest, and a trial list through one staged block,
+    so a failed run leaves nothing; returns (records, trials)."""
     if n_speakers < 2:
         raise DatasetTooSmallError(f"need >= 2 speakers, got {n_speakers}")
     if n_utts_per_speaker < 1 or duration_s <= 0:
         raise InvalidConfigError("need n_utts_per_speaker >= 1 and positive duration")
     out_dir = Path(out_dir)
-    wav_dir = out_dir / "wav"
-    wav_dir.mkdir(parents=True, exist_ok=True)
-
     profiles = [make_speaker(child_seed(seed, "speaker", i), f"spk{i:03d}") for i in range(n_speakers)]
     jobs = [
-        (p, f"{p.speaker_id}_u{j:03d}")
+        (p, out_dir / "wav" / f"{p.speaker_id}_u{j:03d}.wav")
         for p in profiles
         for j in range(n_utts_per_speaker)
     ]
 
-    def one(job):
-        profile, utt_id = job
-        rng = make_rng(child_seed(seed, "utt", utt_id))
-        dur = duration_s * rng.uniform(0.85, 1.2)
-        w = synth_utterance(profile, dur, rng)
-        path = wav_dir / f"{utt_id}.wav"
-        write_wav(w, path)
-        return UtteranceRecord(utt_id, profile.speaker_id, str(path), len(w), w.sample_rate_hz)
+    with staged(*(path for _, path in jobs), out_dir / "manifest.tsv", out_dir / "trials.txt") as tmps:
 
-    records = worker_map(one, jobs)
-    write_manifest(records, out_dir / "manifest.tsv")
-    trials = make_trials(records, make_rng(child_seed(seed, "trials")))
-    write_trials(trials, out_dir / "trials.txt")
+        def one(job):
+            (profile, path), tmp = job
+            rng = make_rng(child_seed(seed, "utt", path.stem))
+            dur = duration_s * rng.uniform(0.85, 1.2)
+            w = synth_utterance(profile, dur, rng)
+            write_wav(w, tmp)
+            return UtteranceRecord(path.stem, profile.speaker_id, str(path), len(w), w.sample_rate_hz)
+
+        records = worker_map(one, zip(jobs, tmps))
+        write_manifest(records, tmps[-2])
+        trials = make_trials(records, make_rng(child_seed(seed, "trials")))
+        write_trials(trials, tmps[-1])
     return records, trials

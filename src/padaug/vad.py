@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import Waveform
-from .errors import EmptyResultError, InvalidConfigError, LengthMismatchError, TooShortError
+from .errors import EmptyResultError, InvalidConfigError, LengthMismatchError, TooShortError, UnsupportedFormatError
 from .manifest import staged
 
 _ENERGY_FLOOR = 1e-12  # keeps log energy finite on digital silence
@@ -59,6 +59,10 @@ def _dilate(raw: np.ndarray, before: int, after: int) -> np.ndarray:
 def detect(w: Waveform, cfg: VadConfig = VadConfig()) -> SpeechMask:
     """Per-frame speech decisions for w."""
     step = round(FRAME_MS * w.sample_rate_hz / 1000.0)
+    if step == 0:
+        raise UnsupportedFormatError(
+            f"sample rate {w.sample_rate_hz} Hz gives a {FRAME_MS:g} ms frame of 0 samples; the VAD needs > 50 Hz"
+        )
     nf = len(w) // step
     if nf < 1:
         raise TooShortError(f"need at least {step} samples for one frame, got {len(w)}")

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import padaug.cli
 import padaug.features
 import padaug.model
 import padaug.testset
@@ -352,6 +353,17 @@ def test_featurize_rate_too_low_to_frame(tmp_path, capsys):
     assert not (tmp_path / "f.bin").exists()
 
 
+def test_vad_rate_too_low_to_frame(tmp_path, capsys):
+    # at 50 Hz or less the 10 ms VAD frame rounds to 0 samples
+    write_wav(Waveform(0.1 * np.sin(np.arange(400)), 40), tmp_path / "slow.wav")
+    write_manifest([UtteranceRecord("slow01", "s0", str(tmp_path / "slow.wav"), 400, 40)], tmp_path / "m.tsv")
+    capsys.readouterr()
+    assert main(["vad", "--manifest", str(tmp_path / "m.tsv"), "--out", str(tmp_path / "v")]) == 1
+    err = capsys.readouterr().err
+    assert "utterance slow01" in err and "sample rate 40 Hz" in err
+    assert not (tmp_path / "v").exists()
+
+
 @pytest.mark.parametrize("field", ["utt_id", "speaker_id", "wav_path"])
 def test_nul_in_manifest_is_pipeline_error(corpus, tmp_path, capsys, field):
     # an exception escaping main is the traceback the user would see
@@ -461,6 +473,29 @@ def test_failed_record_adds_no_file_to_out(tmp_path):
     assert (out / "keep.txt").read_text() == "kept"
 
 
+def test_failed_record_creates_no_out(tmp_path):
+    # a missing --out (and its missing parent) must not outlive a failed run
+    sr = 16000
+    write_wav(Waveform(0.1 * np.ones(2 * sr), sr), tmp_path / "good.wav")
+    write_wav(Waveform(np.zeros(0), sr), tmp_path / "empty.wav")
+    write_manifest([UtteranceRecord("a_good", "s0", str(tmp_path / "good.wav"), 2 * sr, sr),
+                    UtteranceRecord("b_empty", "s0", str(tmp_path / "empty.wav"), 0, sr)], tmp_path / "m.tsv")
+    before = sorted(tmp_path.rglob("*"))
+    out = tmp_path / "new" / "out"
+    assert main(["augment", "--manifest", str(tmp_path / "m.tsv"), "--out", str(out), "--seed", "1"]) == 1
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_failed_synth_leaves_no_out(tmp_path, capsys):
+    # one utterance per speaker gives no target trial, found only after the
+    # WAVs are synthesized
+    out = tmp_path / "c"
+    assert main(["synth", "--out", str(out), "--n-speakers", "2", "--n-utts", "1", "--duration", "1.0",
+                 "--seed", "1"]) == 1
+    assert "no same-speaker pairs" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # (subcommand argv, the file among its inputs that gets a non-UTF-8 byte)
 NOT_UTF8_INPUTS = {
     "manifest": (["vad", "--manifest", "{bad}", "--out", "{tmp}/v"], "m.tsv"),
@@ -490,6 +525,24 @@ def test_bad_thread_count_is_usage_error(tmp_path, monkeypatch, threads):
               "--duration", "1.0", "--seed", "1"])
     assert exc.value.code == 2
     assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("names", [("a", "a"), ("",), ("a\tb",), ("a\nb",), ("a\n",)],
+                         ids=["twice", "empty", "tab", "newline", "trailing-newline"])
+def test_sweep_rejects_ambiguous_names(corpus, model_file, tmp_path, capsys, monkeypatch, names):
+    # every NAME must label its own rows of the table, before any model loads
+    def no_load(path):
+        raise AssertionError("a model was loaded")
+
+    monkeypatch.setattr(padaug.cli, "load_model", no_load)
+    argv = ["sweep", "--manifest", str(corpus / "manifest.tsv"), "--trials", str(corpus / "trials.txt"),
+            "--out", str(tmp_path / "s.tsv"), "--seed", "1"]
+    for name in names:
+        argv += ["--model", f"{name}={model_file}"]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert "--model NAME" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_file_precedence(tmp_path):

@@ -1,6 +1,9 @@
-"""No stale imports in the package: every name a module imports is used
-in that module. `__init__.py` is skipped, since its imports are the
-package's re-exports."""
+"""Static checks over the package source.
+
+No stale imports: every name a module imports is used in that module
+(`__init__.py` is skipped, since its imports are the package's
+re-exports). One publish path: only manifest.staged creates directories
+or moves files into place."""
 
 import ast
 from pathlib import Path
@@ -25,3 +28,23 @@ def test_every_import_is_used(module):
     tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(set(imported_names(tree)) - used) == []
+
+
+def publish_calls(tree):
+    """Calls that create a directory or move a file into place."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            f = node.func
+            is_os = isinstance(f.value, ast.Name) and f.value.id == "os"
+            if f.attr == "mkdir" or (is_os and f.attr in ("replace", "rename", "makedirs")):
+                yield node
+
+
+def test_only_staged_publishes():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    staged = next(n for n in trees["manifest.py"].body if isinstance(n, ast.FunctionDef) and n.name == "staged")
+    inside = list(publish_calls(staged))
+    assert {n.func.attr for n in inside} == {"mkdir", "replace"}
+    outside = [f"{name}:{n.lineno}" for name, tree in trees.items() for n in publish_calls(tree) if n not in inside]
+    assert outside == []
+    assert [name for name, tree in trees.items() if "tempfile" in set(imported_names(tree))] == []

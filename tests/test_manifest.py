@@ -137,11 +137,12 @@ def test_staged_publishes_in_order(tmp_path, monkeypatch):
 
 
 def test_staged_failure_changes_nothing(tmp_path):
-    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a, b, c = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "new" / "deeper" / "c.txt"
     a.write_text("old a")
-    with pytest.raises(RuntimeError), staged(a, b) as (ta, tb):
+    with pytest.raises(RuntimeError), staged(a, b, c) as (ta, tb, tc):
         ta.write_text("new a")
         tb.write_text("new b")
+        tc.write_text("new c")
         raise RuntimeError("failed half way")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt"]
     assert a.read_text() == "old a"
