@@ -2,7 +2,9 @@
 
 Anything that is not plain 16-bit mono PCM is rejected outright rather
 than converted; augmentation semantics stay unambiguous that way. Samples
-are exchanged as float64 in [-1, 1] (int16 value / 32768).
+are exchanged as float64 in [-1, 1] (int16 value / 32768). write_wav
+returns what read_wav would give back for the file it wrote, so a caller
+can go on with the stored samples without reading them back.
 """
 
 import struct
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptHeaderError, UnsupportedFormatError
+from .errors import CorruptHeaderError, InvalidConfigError, UnsupportedFormatError
 
 INT16_SCALE = 32768.0
 
@@ -82,15 +84,34 @@ def read_wav(path) -> Waveform:
     if len(payload) % 2 != 0:
         raise CorruptHeaderError(f"{path}: odd data-chunk size for 16-bit samples")
 
-    samples = np.frombuffer(payload, dtype="<i2").astype(np.float64) / INT16_SCALE
-    return Waveform(samples, sample_rate)
+    return Waveform(_from_pcm(np.frombuffer(payload, dtype="<i2")), sample_rate)
 
 
-def write_wav(w: Waveform, path) -> None:
-    """Write a waveform as 16-bit mono PCM; out-of-range samples are clamped."""
-    q = np.clip(np.rint(np.clip(w.samples, -1.0, 1.0) * INT16_SCALE), -32768, 32767)
+def _from_pcm(pcm: np.ndarray, out=None) -> np.ndarray:
+    """int16 samples as the float64 values read_wav returns (exact)."""
+    return np.divide(pcm, INT16_SCALE, out=out)
+
+
+def write_wav(w: Waveform, path) -> Waveform:
+    """Write a waveform as 16-bit mono PCM and return the waveform read_wav
+    gives back for the file. Out-of-range samples, infinities included,
+    are clamped; a NaN sample raises InvalidConfigError before anything is
+    written."""
+    # Same values as clip(rint(clip(x, -1, 1) * 32768), -32768, 32767), in
+    # one buffer: scaling first only moves |x| > 1 further past the clamp,
+    # to inf at worst, which the clamp also takes.
+    with np.errstate(over="ignore"):
+        q = np.multiply(w.samples, INT16_SCALE)
+    np.rint(q, out=q)
+    np.clip(q, -32768.0, 32767.0, out=q)
+    if np.isnan(q.sum()):  # after the clamp only a NaN sample makes the sum NaN
+        raise InvalidConfigError(f"{path}: sample {np.flatnonzero(np.isnan(q))[0]} is NaN")
+    pcm = q.astype("<i2")
     with wave.open(str(path), "wb") as f:
         f.setnchannels(1)
         f.setsampwidth(2)
         f.setframerate(w.sample_rate_hz)
-        f.writeframes(q.astype("<i2").tobytes())
+        f.writeframes(pcm.tobytes())
+    # Into q's buffer: a fresh array for a 3-11 s waveform page-faults in
+    # on every call.
+    return Waveform(_from_pcm(pcm, out=q), w.sample_rate_hz)

@@ -11,7 +11,8 @@ dataset directories included: it creates the missing parent directories,
 writes temporary siblings and moves them into place only once all of them
 are complete; a failure removes the temporaries and the directories it
 created. map_wavs writes a WAV dataset directory (`<utt_id>.wav` per
-record plus `manifest.tsv`) through one staged block.
+record plus `manifest.tsv`) through one staged block, and can run a
+further step on each waveform as written, in the same worker.
 """
 
 import os
@@ -157,14 +158,19 @@ def map_records(records, fn, seed=None):
     return worker_map(one, records)
 
 
-def map_wavs(records, out_dir, fn, seed=None):
+def map_wavs(records, out_dir, fn, seed=None, step=None):
     """Write fn(rec, waveform, rng) as out_dir/<utt_id>.wav for every
     record through map_records, plus out_dir/manifest.tsv; returns the new
     records in input order.
 
+    step, if given, runs in the same worker right after each write, as
+    step(new_rec, heard) where heard is the waveform as written (what
+    read_wav gives back for the file); map_wavs then returns the pair
+    (new records, step results), both in input order.
+
     All or nothing: the WAVs and then the manifest are published by one
-    staged block once every record has succeeded, so a failed run adds no
-    file or directory and removes none.
+    staged block once every record, step included, has succeeded, so a
+    failed run adds no file or directory and removes none.
     """
     out_dir = Path(out_dir)
     for rec in records:
@@ -173,11 +179,13 @@ def map_wavs(records, out_dir, fn, seed=None):
     with staged(*wav_paths.values(), out_dir / "manifest.tsv") as tmps:
         tmp_of = dict(zip(wav_paths, tmps))
 
-        def one(rec: UtteranceRecord, w, rng) -> UtteranceRecord:
+        def one(rec: UtteranceRecord, w, rng):
             out = fn(rec, w, rng)
-            write_wav(out, tmp_of[rec.utt_id])
-            return UtteranceRecord(rec.utt_id, rec.speaker_id, str(wav_paths[rec.utt_id]), len(out), out.sample_rate_hz)
+            heard = write_wav(out, tmp_of[rec.utt_id])
+            new = UtteranceRecord(rec.utt_id, rec.speaker_id, str(wav_paths[rec.utt_id]), len(out), out.sample_rate_hz)
+            return new if step is None else (new, step(new, heard))
 
-        new_records = map_records(records, one, seed)
+        results = map_records(records, one, seed)
+        new_records = results if step is None else [new for new, _ in results]
         write_manifest(new_records, tmps[-1])
-    return new_records
+    return new_records if step is None else (new_records, [r for _, r in results])

@@ -6,9 +6,10 @@ k in [0, 8] extra seconds by build_ratio, under one of three placements
 pair (k_seconds, placement). The named variants are aliases: chunk3s is
 k=0, chunk3s-ht is 1 s at head and tail (k=2), chunk3s-hmt is 1 s at
 head, mid and tail (k=3). ratio_sweep builds every k and scores models on
-each. Padding "silence" is white Gaussian noise at a fixed SNR (default
-25 dB) so the padded regions resemble a quiet recording floor; digital
-zeros are available by passing snr_db=None.
+each, embedding every padded utterance in the pass that writes it.
+Padding "silence" is white Gaussian noise at a fixed SNR (default 25 dB)
+so the padded regions resemble a quiet recording floor; digital zeros are
+available by passing snr_db=None.
 
 Per-utterance randomness is derived from (seed, utt_id), never from
 manifest position, so rebuilding a subset or reordering the manifest
@@ -25,7 +26,7 @@ from .audio_io import Waveform
 from .augment import PaddingLayout, assemble, loop_pad, random_chunk, wgn_like
 from .errors import EmptyInputError, InvalidConfigError, InvalidRatioError, LengthMismatchError
 from .features import cmn, fbank
-from .manifest import map_records, map_wavs
+from .manifest import map_wavs
 from .metrics import det_metrics, score_trials
 from .model import forward
 from .seeding import Rng, randint
@@ -102,37 +103,41 @@ def build_testset(
     placement: str = "head-tail-even",
     snr_db=TEST_SNR_DB,
     from_start: bool = False,
+    step=None,
 ):
     """Write every record's 3 s chunk padded by build_ratio to out_dir,
-    one WAV each plus a manifest.tsv; returns the new records. Raises
-    before writing anything when (k_seconds, placement) is out of range.
+    one WAV each plus a manifest.tsv; returns the new records, or with a
+    step the pair (new records, step results) of map_wavs. Raises before
+    writing anything when (k_seconds, placement) is out of range.
     """
     check_ratio(k_seconds, placement)
 
     def one(rec, w: Waveform, rng: Rng) -> Waveform:
         return build_ratio(build_chunk3s(w, rng, from_start=from_start), k_seconds, placement, snr_db, rng)
 
-    return map_wavs(records, out_dir, one, seed)
+    return map_wavs(records, out_dir, one, seed, step)
 
 
 def ratio_sweep(records, trials, models, work_dir, seed, placement="head-tail-even", snr_db=TEST_SNR_DB, p_target=0.01):
     """Score every model on the ratio variant for k = 0..MAX_RATIO_SECONDS.
 
-    models: (name, ToyModel) pairs. For each k, materializes
-    work_dir/ratio<k> with build_testset, computes each padded utterance's
-    features once for all models, and yields
-    (k, [(name, DetMetrics), ...]) in model order.
+    models: (name, ToyModel) pairs. Each k is one build_testset pass that
+    writes work_dir/ratio<k> and, in the same worker, embeds each padded
+    utterance from memory as written: its features are computed once and
+    run through every model, then freed. The directory is published only
+    once every utterance is embedded, before (k, [(name, DetMetrics), ...])
+    is yielded in model order.
     """
     work_dir = Path(work_dir)
+
+    def embed(rec, heard: Waveform):
+        f = cmn(fbank(heard))
+        return [forward(model, f) for _, model in models]
+
     for k in range(MAX_RATIO_SECONDS + 1):
-        padded = build_testset(records, work_dir / f"ratio{k}", seed, k, placement, snr_db)
-        # One k's features stay alive together. Freeing each utterance's
-        # features as soon as it was embedded let the allocator hand the
-        # memory back to the OS after every utterance: ~9x the page faults
-        # and a ~20% slower sweep.
-        feats = map_records(padded, lambda rec, w, rng: cmn(fbank(w)))
+        padded, embs = build_testset(records, work_dir / f"ratio{k}", seed, k, placement, snr_db, step=embed)
         rows = []
-        for name, model in models:
-            store = {rec.utt_id: forward(model, f) for rec, f in zip(padded, feats)}
+        for j, (name, _) in enumerate(models):
+            store = {rec.utt_id: e[j] for rec, e in zip(padded, embs)}
             rows.append((name, det_metrics(score_trials(trials, store), trials.is_target, p_target=p_target)))
         yield k, rows

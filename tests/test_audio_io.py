@@ -1,11 +1,15 @@
 import struct
+import warnings
 import wave
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from padaug.audio_io import INT16_SCALE, Waveform, read_wav, write_wav
-from padaug.errors import CorruptHeaderError, UnsupportedFormatError
+from padaug.errors import CorruptHeaderError, InvalidConfigError, UnsupportedFormatError
 
 
 def test_roundtrip_is_exact_on_grid_values(tmp_path):
@@ -111,3 +115,61 @@ def test_zero_rate_rejected(tmp_path):
     p.write_bytes(_wav_header(rate=0))
     with pytest.raises(CorruptHeaderError):
         read_wav(p)
+
+
+def write_wav_ref(w, path):
+    """write_wav's body before it quantized in one buffer and returned the
+    stored waveform; kept as the oracle for the bytes it writes."""
+    q = np.clip(np.rint(np.clip(w.samples, -1.0, 1.0) * INT16_SCALE), -32768, 32767)
+    with wave.open(str(path), "wb") as f:
+        f.setnchannels(1)
+        f.setsampwidth(2)
+        f.setframerate(w.sample_rate_hz)
+        f.writeframes(q.astype("<i2").tobytes())
+
+
+# Values where the quantizer could go wrong: the ends of the range and past
+# them, signed zeros, subnormals, and samples half an LSB from a step.
+EDGE_SAMPLES = [
+    1.0, -1.0, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -2.2250738585072009e-308,
+    1.0 + 2**-52, -1.0 - 2**-52, 2.0, -2.0, 1e308, -1e308, np.finfo(float).max, -np.finfo(float).max,
+    32767.5 / INT16_SCALE, -32768.5 / INT16_SCALE, 32766.5 / INT16_SCALE, -32767.5 / INT16_SCALE,
+    0.5 / INT16_SCALE, -0.5 / INT16_SCALE, 1.5 / INT16_SCALE, -1.5 / INT16_SCALE,
+]
+_sample = st.one_of(
+    st.sampled_from(EDGE_SAMPLES),
+    st.integers(-32770, 32769).map(lambda n: (n + 0.5) / INT16_SCALE),  # every half-LSB tie
+    st.floats(allow_nan=False),
+    st.floats(-1.5, 1.5),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    samples=st.one_of(
+        st.lists(_sample, max_size=200).map(np.array),
+        arrays(np.float64, st.integers(0, 2000), elements=st.floats(-1.2, 1.2, width=64)),
+    ),
+    rate=st.sampled_from([8000, 16000, 44100]),
+)
+def test_write_wav_matches_quantize_oracle(tmp_path_factory, samples, rate):
+    d = tmp_path_factory.mktemp("q")
+    w = Waveform(samples, rate)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow or cast warning on any finite or infinite input
+        heard = write_wav(w, d / "new.wav")
+    write_wav_ref(w, d / "ref.wav")
+    assert (d / "new.wav").read_bytes() == (d / "ref.wav").read_bytes()
+    back = read_wav(d / "new.wav")
+    assert heard.sample_rate_hz == back.sample_rate_hz == rate
+    assert heard.samples.dtype == back.samples.dtype
+    assert heard.samples.tobytes() == back.samples.tobytes()  # -0.0 comes back as 0.0, as from the file
+
+
+def test_write_wav_rejects_nan_before_writing(tmp_path):
+    p = tmp_path / "nan.wav"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidConfigError, match=r"sample 1 is NaN"):
+            write_wav(Waveform(np.array([0.1, np.nan, 0.2, np.nan]), 16000), p)
+    assert not p.exists()

@@ -4,10 +4,10 @@ import re
 import numpy as np
 import pytest
 
-from padaug.audio_io import Waveform, write_wav
+from padaug.audio_io import Waveform, read_wav, write_wav
 from padaug.errors import CorruptHeaderError, InvalidConfigError
 from padaug.features import FeatureMatrix, write_feature_dump
-from padaug.manifest import UtteranceRecord, check_utt_id, map_records, read_manifest, staged, write_manifest
+from padaug.manifest import UtteranceRecord, check_utt_id, map_records, map_wavs, read_manifest, staged, write_manifest
 from padaug.seeding import child_seed, make_rng
 
 
@@ -108,6 +108,47 @@ def test_map_records_seeds_each_record_from_its_id(tmp_path):
     assert out == [(r.utt_id, r.num_samples, int(make_rng(child_seed(7, r.utt_id)).integers(2**32))) for r in records]
     assert map_records(records[::-1], fn, seed=7) == out[::-1]  # not from the position
     assert map_records(records, fn) == [(r.utt_id, r.num_samples, None) for r in records]
+
+
+def _noisy_inputs(tmp_path):
+    records = []
+    for i, n in enumerate((300, 170, 41)):
+        write_wav(Waveform(0.3 * np.sin(0.05 * np.arange(n)), 16000), tmp_path / f"u{i}.wav")
+        records.append(UtteranceRecord(f"u{i}", "s", str(tmp_path / f"u{i}.wav"), n, 16000))
+    return records
+
+
+def _off_grid(rec, w, rng):
+    # samples between int16 steps, some past full scale, so the write rounds and clamps
+    return Waveform(1.7 * w.samples + 1e-3 * rng.standard_normal(len(w)), w.sample_rate_hz)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_map_wavs_step_sees_the_waveform_as_written(tmp_path, monkeypatch, threads):
+    monkeypatch.setenv("PADAUG_THREADS", threads)
+    records = _noisy_inputs(tmp_path)
+    plain = map_wavs(records, tmp_path / "plain", _off_grid, seed=3)
+    new, heard = map_wavs(records, tmp_path / "out", _off_grid, seed=3, step=lambda rec, w: (rec, w))
+    assert [(r.utt_id, r.num_samples) for r in new] == [(r.utt_id, r.num_samples) for r in plain]
+    assert read_manifest(tmp_path / "out" / "manifest.tsv") == new
+    for rec, (seen, w) in zip(new, heard):
+        assert seen == rec  # the new record, not the input one
+        back = read_wav(rec.wav_path)
+        assert w.sample_rate_hz == back.sample_rate_hz
+        assert w.samples.tobytes() == back.samples.tobytes()
+        assert back.samples.tobytes() == read_wav(tmp_path / "plain" / f"{rec.utt_id}.wav").samples.tobytes()
+
+
+def test_map_wavs_nan_sample_publishes_nothing(tmp_path):
+    records = _noisy_inputs(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+
+    def nan_at_5(rec, w, rng):
+        return Waveform(np.where(np.arange(len(w)) == 5, np.nan, w.samples), w.sample_rate_hz)
+
+    with pytest.raises(InvalidConfigError, match="^utterance u0: .*sample 5 is NaN"):
+        map_wavs(records, tmp_path / "out" / "deeper", nan_at_5)
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_map_records_error_names_utterance(tmp_path):

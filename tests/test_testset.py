@@ -1,22 +1,32 @@
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import padaug.manifest
 from padaug.audio_io import Waveform, read_wav, write_wav
 from padaug.augment import PaddingLayout, assemble, wgn_like
-from padaug.errors import EmptyInputError, InvalidConfigError, InvalidRatioError, LengthMismatchError
-from padaug.manifest import UtteranceRecord, read_manifest
+from padaug.errors import DimMismatchError, EmptyInputError, InvalidConfigError, InvalidRatioError, LengthMismatchError
+from padaug.features import N_MELS, cmn, fbank
+from padaug.manifest import UtteranceRecord, map_records, read_manifest
+from padaug.metrics import det_metrics, score_trials
+from padaug.model import ToyModelConfig, forward, init_model
 from padaug.seeding import make_rng, randint
+from padaug.synth import build_corpus
 from padaug.testset import (
     MAX_RATIO_SECONDS,
     NAMED_VARIANTS,
     PLACEMENTS,
+    TEST_SNR_DB,
     VARIANT_KINDS,
     build_chunk3s,
     build_ratio,
     build_testset,
     check_ratio,
+    ratio_sweep,
 )
 
 SR = 16000
@@ -236,3 +246,65 @@ def test_ratio_builds_share_chunk_across_ks():
     base, padded = build(0), build(4)
     l_head = (4 * SR) // 2
     assert np.array_equal(padded.samples[l_head : l_head + 3 * SR], base.samples)
+
+
+def ratio_sweep_ref(records, trials, models, work_dir, seed, placement="head-tail-even", snr_db=TEST_SNR_DB, p_target=0.01):
+    """ratio_sweep as two pool passes per k: write the padded set, then
+    read every padded WAV back for its features, then embed on the calling
+    thread; kept as the oracle for the one-pass sweep."""
+    work_dir = Path(work_dir)
+    for k in range(MAX_RATIO_SECONDS + 1):
+        padded = build_testset(records, work_dir / f"ratio{k}", seed, k, placement, snr_db)
+        feats = map_records(padded, lambda rec, w, rng: cmn(fbank(w)))
+        rows = []
+        for name, model in models:
+            store = {rec.utt_id: forward(model, f) for rec, f in zip(padded, feats)}
+            rows.append((name, det_metrics(score_trials(trials, store), trials.is_target, p_target=p_target)))
+        yield k, rows
+
+
+@pytest.fixture(scope="module")
+def sweep_inputs(tmp_path_factory):
+    """Nine utterances of three speakers, 1.4-1.9 s long so that each is
+    loop-padded to the 3 s chunk, and two untrained models."""
+    records, trials = build_corpus(3, 3, 1.6, tmp_path_factory.mktemp("corpus"), seed=5)
+    models = [(f"m{i}", init_model(ToyModelConfig(n_speakers=3, hidden_dim=16, embed_dim=8, seed=i))) for i in (1, 2)]
+    return records, trials, models
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("placement, snr_db", [(p, TEST_SNR_DB) for p in PLACEMENTS] + [("head-tail-even", None)])
+def test_ratio_sweep_matches_two_pass_oracle(sweep_inputs, tmp_path, monkeypatch, threads, placement, snr_db):
+    monkeypatch.setenv("PADAUG_THREADS", threads)
+    records, trials, models = sweep_inputs
+    got = list(ratio_sweep(records, trials, models, tmp_path / "new", 11, placement, snr_db))
+    want = list(ratio_sweep_ref(records, trials, models, tmp_path / "ref", 11, placement, snr_db))
+    assert [k for k, _ in got] == list(range(MAX_RATIO_SECONDS + 1))
+    assert got == want
+    assert tree(tmp_path / "new") == tree(tmp_path / "ref")
+
+
+def tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_ratio_sweep_reads_each_input_once_per_k(sweep_inputs, tmp_path, monkeypatch, threads):
+    monkeypatch.setenv("PADAUG_THREADS", threads)
+    records, trials, models = sweep_inputs
+    reads = []
+    real_read_wav = padaug.manifest.read_wav
+    monkeypatch.setattr(padaug.manifest, "read_wav", lambda path: (reads.append(Path(path)), real_read_wav(path))[1])
+    for _ in ratio_sweep(records, trials, models, tmp_path / "work", 11):
+        pass
+    assert Counter(reads) == {Path(r.wav_path): MAX_RATIO_SECONDS + 1 for r in records}
+    assert not any(p.is_relative_to(tmp_path / "work") for p in reads)
+
+
+def test_ratio_sweep_failure_leaves_no_directory(sweep_inputs, tmp_path):
+    records, trials, models = sweep_inputs
+    wrong = init_model(ToyModelConfig(n_speakers=3, input_dim=N_MELS + 1, hidden_dim=16, embed_dim=8))
+    sweep = ratio_sweep(records, trials, [*models, ("wrong", wrong)], tmp_path / "work", 11)
+    with pytest.raises(DimMismatchError, match=f"^utterance {records[0].utt_id}: "):
+        next(sweep)
+    assert not (tmp_path / "work").exists()
