@@ -36,10 +36,6 @@ class Waveform:
     def __len__(self) -> int:
         return self.samples.shape[0]
 
-    @property
-    def duration_s(self) -> float:
-        return len(self) / self.sample_rate_hz
-
 
 def read_wav(path) -> Waveform:
     """Read a 16-bit mono PCM WAV file.

@@ -14,6 +14,7 @@ integer >= 1).
 """
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -27,6 +28,17 @@ from .synth import build_corpus
 from .testset import CHUNK_SECONDS, NAMED_VARIANTS, PLACEMENTS, TEST_SNR_DB, VARIANT_KINDS, build_testset, ratio_sweep
 from .vad import VadConfig, detect, drop_silence, write_mask_dump
 from .workers import worker_count
+
+
+def _finite_float(text: str) -> float:
+    """The type of every float option: nan and +-inf are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:  # the message argparse gives for type=float
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _log_config(args) -> None:
@@ -139,8 +151,7 @@ def _cmd_vad(args) -> int:
 
     def one(rec, w, rng):
         mask = masks[rec.utt_id] = detect(w, cfg)
-        # Nothing classified as speech: keep the original.
-        return drop_silence(w, mask) if mask.flags.any() else w
+        return drop_silence(w, mask)
 
     map_wavs(records, args.out, one)
     if args.mask_out:
@@ -192,7 +203,7 @@ def _cmd_embed(args) -> int:
     records = read_manifest(args.manifest)
 
     def one(rec, w, rng):
-        return rec.utt_id, FeatureMatrix(embed_utterance(model, w)[None, :])
+        return rec.utt_id, FeatureMatrix(embed_utterance([model], w)[0][None, :])
 
     write_feature_dump(args.out, map_records(records, one))
     print(f"wrote {len(records)} embeddings to {args.out}")
@@ -262,36 +273,40 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="subcommand")
 
-    def add(name, fn, help_text):
-        p = sub.add_parser(name, help=help_text)
+    def add(name, fn, help_text, *parents):
+        p = sub.add_parser(name, help=help_text, parents=parents)
         p.set_defaults(func=fn)
         return p
+
+    pad_aug = argparse.ArgumentParser(add_help=False)  # augment and train
+    pad_aug.add_argument("--t-min", type=_finite_float, default=1.0, help="minimum chunk seconds")
+    pad_aug.add_argument("--t-max", type=_finite_float, default=3.0, help="output length in seconds")
+    pad_aug.add_argument("--snr-min", type=_finite_float, default=15.0)
+    pad_aug.add_argument("--snr-max", type=_finite_float, default=30.0)
+
+    test_pad = argparse.ArgumentParser(add_help=False)  # build-testset and sweep
+    test_pad.add_argument("--placement", choices=PLACEMENTS, default="head-tail-even")
+    test_pad.add_argument("--snr-db", type=_finite_float, default=TEST_SNR_DB)
+    test_pad.add_argument("--zero-pad", action="store_true", help="pad with digital zeros instead of noise")
 
     p = add("synth", _cmd_synth, "generate a synthetic multi-speaker corpus")
     p.add_argument("--out", required=True)
     p.add_argument("--n-speakers", type=int, default=20)
     p.add_argument("--n-utts", type=int, default=50)
-    p.add_argument("--duration", type=float, default=4.0)
+    p.add_argument("--duration", type=_finite_float, default=4.0)
     p.add_argument("--seed", type=int, required=True)
 
-    p = add("augment", _cmd_augment, "apply padding augmentation to a manifest")
+    p = add("augment", _cmd_augment, "apply padding augmentation to a manifest", pad_aug)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=("ht", "hmt"), default="ht")
-    p.add_argument("--t-min", type=float, default=1.0, help="minimum chunk seconds")
-    p.add_argument("--t-max", type=float, default=3.0, help="output length in seconds")
-    p.add_argument("--snr-min", type=float, default=15.0)
-    p.add_argument("--snr-max", type=float, default=30.0)
     p.add_argument("--seed", type=int, required=True)
 
-    p = add("build-testset", _cmd_build_testset, "materialize an evaluation variant")
+    p = add("build-testset", _cmd_build_testset, "materialize an evaluation variant", test_pad)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--variant", choices=VARIANT_KINDS, required=True)
     p.add_argument("--k", type=int, default=0, help="padding seconds for the ratio variant")
-    p.add_argument("--placement", choices=PLACEMENTS, default="head-tail-even")
-    p.add_argument("--snr-db", type=float, default=TEST_SNR_DB)
-    p.add_argument("--zero-pad", action="store_true", help="pad with digital zeros instead of noise")
     p.add_argument("--from-start", action="store_true", help="chunk from the utterance start")
     p.add_argument("--seed", type=int, required=True)
 
@@ -300,19 +315,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--n-mels", type=int, default=N_MELS)
     p.add_argument("--cmn", action="store_true", help="apply utterance-level mean normalization")
-    p.add_argument("--dither", type=float, default=0.0)
+    p.add_argument("--dither", type=_finite_float, default=0.0)
     p.add_argument("--seed", type=int, default=None)
 
     p = add("vad", _cmd_vad, "drop silent frames with an energy VAD")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--mask-out", default=None)
-    p.add_argument("--offset-db", type=float, default=9.0)
+    p.add_argument("--offset-db", type=_finite_float, default=9.0)
     p.add_argument("--hang-before", type=int, default=10)
     p.add_argument("--hang-over", type=int, default=20)
-    p.add_argument("--floor-percentile", type=float, default=0.1)
+    p.add_argument("--floor-percentile", type=_finite_float, default=0.1)
 
-    p = add("train", _cmd_train, "train the toy embedding model")
+    p = add("train", _cmd_train, "train the toy embedding model", pad_aug)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--augment", choices=("none", "ht", "hmt"), default="none")
@@ -320,17 +335,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--hidden-dim", type=int, default=64)
     p.add_argument("--embed-dim", type=int, default=32)
-    p.add_argument("--scale", type=float, default=32.0)
-    p.add_argument("--margin", type=float, default=0.2)
-    p.add_argument("--lr-init", type=float, default=1e-1)
-    p.add_argument("--lr-final", type=float, default=5e-5)
+    p.add_argument("--scale", type=_finite_float, default=32.0)
+    p.add_argument("--margin", type=_finite_float, default=0.2)
+    p.add_argument("--lr-init", type=_finite_float, default=1e-1)
+    p.add_argument("--lr-final", type=_finite_float, default=5e-5)
     p.add_argument("--warmup-steps", type=int, default=100)
     p.add_argument("--margin-warm-steps", type=int, default=-1)
     p.add_argument("--chunk-frames", type=int, default=300)
-    p.add_argument("--t-min", type=float, default=1.0)
-    p.add_argument("--t-max", type=float, default=3.0)
-    p.add_argument("--snr-min", type=float, default=15.0)
-    p.add_argument("--snr-max", type=float, default=30.0)
     p.add_argument("--log", default=None, help="optional per-step training log TSV")
     p.add_argument("--seed", type=int, required=True)
 
@@ -348,21 +359,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", required=True)
     p.add_argument("--scores", required=True)
     p.add_argument("--name", default="testset")
-    p.add_argument("--p-target", type=float, default=0.01)
-    p.add_argument("--c-miss", type=float, default=1.0)
-    p.add_argument("--c-fa", type=float, default=1.0)
+    p.add_argument("--p-target", type=_finite_float, default=0.01)
+    p.add_argument("--c-miss", type=_finite_float, default=1.0)
+    p.add_argument("--c-fa", type=_finite_float, default=1.0)
     p.add_argument("--out", default=None)
 
-    p = add("sweep", _cmd_sweep, "evaluate models across the padding-ratio sweep")
+    p = add("sweep", _cmd_sweep, "evaluate models across the padding-ratio sweep", test_pad)
     p.add_argument("--manifest", required=True)
     p.add_argument("--trials", required=True)
     p.add_argument("--model", action="append", required=True, help="NAME=PATH, repeatable")
     p.add_argument("--out", required=True)
     p.add_argument("--work-dir", default=None)
-    p.add_argument("--placement", choices=PLACEMENTS, default="head-tail-even")
-    p.add_argument("--snr-db", type=float, default=TEST_SNR_DB)
-    p.add_argument("--zero-pad", action="store_true")
-    p.add_argument("--p-target", type=float, default=0.01)
+    p.add_argument("--p-target", type=_finite_float, default=0.01)
     p.add_argument("--seed", type=int, required=True)
 
     return parser
@@ -380,10 +388,7 @@ def main(argv=None) -> int:
             parser.error(str(e))
         _log_config(args)
         return args.func(args)
-    except PadAugError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (PadAugError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

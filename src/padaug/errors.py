@@ -37,10 +37,6 @@ class EmptyInputError(PadAugError):
     """Operation received a zero-length waveform."""
 
 
-class EmptyResultError(PadAugError):
-    """Operation would produce an empty waveform (e.g. all frames dropped)."""
-
-
 class InvalidRatioError(PadAugError, ValueError):
     """Silence-to-speech ratio outside the supported sweep range."""
 

@@ -158,15 +158,14 @@ def map_records(records, fn, seed=None):
     return worker_map(one, records)
 
 
-def map_wavs(records, out_dir, fn, seed=None, step=None):
+def map_wavs(records, out_dir, fn, seed=None, step=lambda new, heard: new):
     """Write fn(rec, waveform, rng) as out_dir/<utt_id>.wav for every
-    record through map_records, plus out_dir/manifest.tsv; returns the new
-    records in input order.
+    record through map_records, plus out_dir/manifest.tsv.
 
-    step, if given, runs in the same worker right after each write, as
-    step(new_rec, heard) where heard is the waveform as written (what
-    read_wav gives back for the file); map_wavs then returns the pair
-    (new records, step results), both in input order.
+    step(new_rec, heard) runs in the same worker right after each write,
+    where heard is the waveform as written (what read_wav gives back for
+    the file); map_wavs returns the step results in input order, by
+    default the new records.
 
     All or nothing: the WAVs and then the manifest are published by one
     staged block once every record, step included, has succeeded, so a
@@ -183,9 +182,8 @@ def map_wavs(records, out_dir, fn, seed=None, step=None):
             out = fn(rec, w, rng)
             heard = write_wav(out, tmp_of[rec.utt_id])
             new = UtteranceRecord(rec.utt_id, rec.speaker_id, str(wav_paths[rec.utt_id]), len(out), out.sample_rate_hz)
-            return new if step is None else (new, step(new, heard))
+            return new, step(new, heard)
 
         results = map_records(records, one, seed)
-        new_records = results if step is None else [new for new, _ in results]
-        write_manifest(new_records, tmps[-1])
-    return new_records if step is None else (new_records, [r for _, r in results])
+        write_manifest([new for new, _ in results], tmps[-1])
+    return [r for _, r in results]

@@ -93,10 +93,15 @@ def eer(scores, is_target) -> tuple:
     return float(value), float(thr[i - 1] + u * (thr[i] - thr[i - 1]))
 
 
-def min_dcf(scores, is_target, p_target: float = 0.01, c_miss: float = 1.0, c_fa: float = 1.0) -> tuple:
-    """(normalized minDCF, threshold) over the observed thresholds."""
+def check_costs(p_target: float, c_miss: float = 1.0, c_fa: float = 1.0) -> None:
+    """Raise unless min_dcf accepts the detection-cost parameters."""
     if not 0.0 < p_target < 1.0 or c_miss <= 0.0 or c_fa <= 0.0:
         raise InvalidConfigError("need 0 < p_target < 1 and positive costs")
+
+
+def min_dcf(scores, is_target, p_target: float = 0.01, c_miss: float = 1.0, c_fa: float = 1.0) -> tuple:
+    """(normalized minDCF, threshold) over the observed thresholds."""
+    check_costs(p_target, c_miss, c_fa)
     targets, nons = _split_scores(scores, is_target)
     thr = _thresholds(targets, nons)
     p_miss, p_fa = _rates(targets, nons, thr)

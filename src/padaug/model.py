@@ -366,9 +366,10 @@ def train(cfg: ToyModelConfig, ts: TrainingSet, pad_cfg: PadAugConfig | None = N
     return TrainResult(model=model, log=log)
 
 
-def embed_utterance(m: ToyModel, w) -> np.ndarray:
-    """Evaluation-time embedding: whole-utterance features, CMN, forward."""
-    return forward(m, cmn(fbank(w)))
+def embed_utterance(models, w) -> list:
+    """Evaluation embeddings of w, one per model: cmn(fbank(w)) once, then forward."""
+    f = cmn(fbank(w))
+    return [forward(m, f) for m in models]
 
 
 # ---------------------------------------------------------------------------

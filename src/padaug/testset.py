@@ -25,10 +25,9 @@ import numpy as np
 from .audio_io import Waveform
 from .augment import PaddingLayout, assemble, loop_pad, random_chunk, wgn_like
 from .errors import EmptyInputError, InvalidConfigError, InvalidRatioError, LengthMismatchError
-from .features import cmn, fbank
 from .manifest import map_wavs
-from .metrics import det_metrics, score_trials
-from .model import forward
+from .metrics import check_costs, det_metrics, score_trials
+from .model import embed_utterance
 from .seeding import Rng, randint
 
 CHUNK_SECONDS = 3.0
@@ -103,12 +102,12 @@ def build_testset(
     placement: str = "head-tail-even",
     snr_db=TEST_SNR_DB,
     from_start: bool = False,
-    step=None,
+    step=lambda new, heard: new,
 ):
     """Write every record's 3 s chunk padded by build_ratio to out_dir,
-    one WAV each plus a manifest.tsv; returns the new records, or with a
-    step the pair (new records, step results) of map_wavs. Raises before
-    writing anything when (k_seconds, placement) is out of range.
+    one WAV each plus a manifest.tsv; returns map_wavs's step results,
+    the new records by default. Raises before writing anything when
+    (k_seconds, placement) is out of range.
     """
     check_ratio(k_seconds, placement)
 
@@ -123,21 +122,19 @@ def ratio_sweep(records, trials, models, work_dir, seed, placement="head-tail-ev
 
     models: (name, ToyModel) pairs. Each k is one build_testset pass that
     writes work_dir/ratio<k> and, in the same worker, embeds each padded
-    utterance from memory as written: its features are computed once and
-    run through every model, then freed. The directory is published only
-    once every utterance is embedded, before (k, [(name, DetMetrics), ...])
-    is yielded in model order.
+    utterance from memory as written with embed_utterance. The directory
+    is published only once every utterance is embedded, before
+    (k, [(name, DetMetrics), ...]) is yielded in model order. A bad
+    p_target raises before k = 0 is built.
     """
+    check_costs(p_target)
     work_dir = Path(work_dir)
-
-    def embed(rec, heard: Waveform):
-        f = cmn(fbank(heard))
-        return [forward(model, f) for _, model in models]
-
+    nets = [model for _, model in models]
     for k in range(MAX_RATIO_SECONDS + 1):
-        padded, embs = build_testset(records, work_dir / f"ratio{k}", seed, k, placement, snr_db, step=embed)
+        embs = build_testset(records, work_dir / f"ratio{k}", seed, k, placement, snr_db,
+                             step=lambda rec, heard: embed_utterance(nets, heard))
         rows = []
         for j, (name, _) in enumerate(models):
-            store = {rec.utt_id: e[j] for rec, e in zip(padded, embs)}
+            store = {rec.utt_id: e[j] for rec, e in zip(records, embs)}
             rows.append((name, det_metrics(score_trials(trials, store), trials.is_target, p_target=p_target)))
         yield k, rows

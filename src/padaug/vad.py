@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import Waveform
-from .errors import EmptyResultError, InvalidConfigError, LengthMismatchError, TooShortError, UnsupportedFormatError
+from .errors import InvalidConfigError, LengthMismatchError, TooShortError, UnsupportedFormatError
 from .manifest import staged
 
 _ENERGY_FLOOR = 1e-12  # keeps log energy finite on digital silence
@@ -77,14 +77,15 @@ def drop_silence(w: Waveform, mask: SpeechMask) -> Waveform:
     """Concatenate the samples of true frames, preserving order.
 
     The trailing partial frame (fewer than frame_samples samples) follows
-    the decision of the last full frame.
+    the decision of the last full frame. A mask that keeps no frame
+    returns w unchanged: a VAD that finds no speech keeps the original.
     """
     step = mask.frame_samples
     nf = len(w) // step
     if nf != len(mask.flags):
         raise LengthMismatchError(f"mask has {len(mask.flags)} frames, waveform has {nf}")
     if not mask.flags.any():
-        raise EmptyResultError("mask rejects every frame")
+        return w
     keep = np.repeat(mask.flags, step)
     tail = len(w) - nf * step
     if tail:

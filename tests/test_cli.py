@@ -4,6 +4,7 @@ import hashlib
 import io
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ import pytest
 import padaug.cli
 import padaug.features
 import padaug.model
-import padaug.testset
 from padaug.audio_io import Waveform, read_wav, write_wav
 from padaug.cli import main
 from padaug.features import read_feature_dump
@@ -188,6 +188,18 @@ def test_vad_cmd(tmp_path):
     assert set(masks[0].split("\t")[1]) <= {"0", "1"}
 
 
+def test_vad_rejecting_every_frame_keeps_the_inputs(corpus, tmp_path):
+    out = tmp_path / "vad"
+    assert main(["vad", "--manifest", str(corpus / "manifest.tsv"), "--out", str(out),
+                 "--mask-out", str(tmp_path / "masks.txt"), "--offset-db", "200"]) == 0
+    records = read_manifest(corpus / "manifest.tsv")
+    for rec in records:
+        assert (out / f"{rec.utt_id}.wav").read_bytes() == Path(rec.wav_path).read_bytes()
+    rows = [line.split("\t") for line in (tmp_path / "masks.txt").read_text().splitlines()]
+    assert [utt for utt, _ in rows] == [r.utt_id for r in records]
+    assert all(bits and set(bits) == {"0"} for _, bits in rows)
+
+
 def sweep_inputs(tmp_path):
     """A 2 x 2 corpus and two untrained models: argv for `padaug sweep` minus --out."""
     d = tmp_path / "corpus"
@@ -212,8 +224,7 @@ def test_sweep_cmd(tmp_path, capsys, monkeypatch):
         calls.append(1)
         return padaug.features.fbank(*args, **kwargs)
 
-    for mod in (padaug.testset, padaug.model):
-        monkeypatch.setattr(mod, "fbank", counting_fbank)
+    monkeypatch.setattr(padaug.model, "fbank", counting_fbank)
     out = tmp_path / "sweep.tsv"
     rc = main(argv + ["--out", str(out)])
     assert rc == 0
@@ -235,6 +246,15 @@ def test_sweep_cmd(tmp_path, capsys, monkeypatch):
     assert main(argv + ["--out", str(hmt), "--placement", "head-mid-tail-even"]) == 0
     names = [line.split("\t")[0] for line in hmt.read_text().splitlines()[1:]]
     assert sorted(names) == ["sysA"] * 9 + ["sysB"] * 9
+
+
+def test_sweep_bad_p_target_builds_nothing(tmp_path, capsys):
+    argv = sweep_inputs(tmp_path)
+    out = tmp_path / "s.tsv"
+    assert main(argv + ["--out", str(out), "--p-target", "2"]) == 1
+    assert "need 0 < p_target < 1" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "s.tsv.work").exists()  # checked before k = 0 is padded
 
 
 def trees_at_thread_counts(tmp_path, monkeypatch, argv_for):
@@ -600,3 +620,55 @@ def test_exit_codes(tmp_path, corpus):
                "--variant", "ratio", "--k", "9", "--seed", "1"])
     assert rc == 1  # k outside [0, 8]
     assert not (tmp_path / "r9").exists()
+
+
+RESOLVED_DEFAULTS = {
+    "augment": (["--manifest", "m.tsv", "--out", "o", "--seed", "1"],
+                "command=augment manifest=m.tsv mode=ht out=o seed=1 snr_max=30.0 snr_min=15.0 t_max=3.0 t_min=1.0"),
+    "train": (["--manifest", "m.tsv", "--out", "o", "--seed", "1"],
+              "augment=none batch_size=32 chunk_frames=300 command=train embed_dim=32 hidden_dim=64 log=None "
+              "lr_final=5e-05 lr_init=0.1 manifest=m.tsv margin=0.2 margin_warm_steps=-1 out=o scale=32.0 seed=1 "
+              "snr_max=30.0 snr_min=15.0 steps=1000 t_max=3.0 t_min=1.0 warmup_steps=100"),
+    "build-testset": (["--manifest", "m.tsv", "--out", "o", "--variant", "ratio", "--seed", "1"],
+                      "command=build-testset from_start=False k=0 manifest=m.tsv out=o placement=head-tail-even "
+                      "seed=1 snr_db=25.0 variant=ratio zero_pad=False"),
+    "sweep": (["--manifest", "m.tsv", "--trials", "t.txt", "--model", "a=a.bin", "--out", "o", "--seed", "1"],
+              "command=sweep manifest=m.tsv model=['a=a.bin'] out=o p_target=0.01 placement=head-tail-even seed=1 "
+              "snr_db=25.0 trials=t.txt work_dir=None zero_pad=False"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(RESOLVED_DEFAULTS))
+def test_resolved_config_defaults_are_pinned(tmp_path, monkeypatch, capsys, command):
+    argv, resolved = RESOLVED_DEFAULTS[command]
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main([command] + argv) == 1  # m.tsv does not exist
+    assert capsys.readouterr().err.splitlines()[0] == "resolved-config: " + resolved
+
+
+NON_FINITE = {
+    "augment-snr-min-nan": ("augment --manifest {m} --out {out} --seed 1 --snr-min nan", "--snr-min"),
+    "augment-t-min-nan": ("augment --manifest {m} --out {out} --seed 1 --t-min nan", "--t-min"),
+    "augment-t-max-inf": ("augment --manifest {m} --out {out} --seed 1 --t-max inf", "--t-max"),
+    "synth-duration-nan": ("synth --out {out} --n-speakers 2 --n-utts 1 --duration nan --seed 1", "--duration"),
+    "train-lr-init-nan": ("train --manifest {m} --out {out} --steps 2 --warmup-steps 1 --batch-size 4 "
+                          "--seed 1 --lr-init nan", "--lr-init"),
+    "train-scale-inf": ("train --manifest {m} --out {out} --steps 2 --warmup-steps 1 --batch-size 4 "
+                        "--seed 1 --scale inf", "--scale"),
+    "config-scale-inf": ("train --config {cfg} --manifest {m} --out {out} --steps 2 --warmup-steps 1 "
+                         "--batch-size 4 --seed 1", "--scale"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_float_is_usage_error(corpus, tmp_path, capsys, case):
+    template, flag = NON_FINITE[case]
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("scale = inf\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(template.format(m=corpus / "manifest.tsv", out=out, cfg=cfg).split())
+    assert exc.value.code == 2
+    assert f"argument {flag}: not a finite number" in capsys.readouterr().err
+    assert not out.exists()

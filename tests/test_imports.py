@@ -3,7 +3,8 @@
 No stale imports: every name a module imports is used in that module
 (`__init__.py` is skipped, since its imports are the package's
 re-exports). One publish path: only manifest.staged creates directories
-or moves files into place."""
+or moves files into place. One evaluation front end, and each CLI option
+shared by two subcommands defined once."""
 
 import ast
 from pathlib import Path
@@ -48,3 +49,27 @@ def test_only_staged_publishes():
     outside = [f"{name}:{n.lineno}" for name, tree in trees.items() for n in publish_calls(tree) if n not in inside]
     assert outside == []
     assert [name for name, tree in trees.items() if "tempfile" in set(imported_names(tree))] == []
+
+
+def test_one_evaluation_front_end():
+    """Whole-utterance features for evaluation are made in one place."""
+    hits = [(p.name, n) for p in sorted(SRC.glob("*.py"))
+            for n, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1) if "cmn(fbank(" in line]
+    model = ast.parse((SRC / "model.py").read_text(encoding="utf-8"))
+    embed = next(n for n in model.body if isinstance(n, ast.FunctionDef) and n.name == "embed_utterance")
+    assert hits
+    assert [(name, embed.lineno <= n <= embed.end_lineno) for name, n in hits] == [("model.py", True)] * len(hits)
+
+
+SHARED_OPTIONS = ("--t-min", "--t-max", "--snr-min", "--snr-max", "--placement", "--snr-db", "--zero-pad")
+
+
+def test_each_shared_option_is_defined_once():
+    calls = [n for n in ast.walk(ast.parse((SRC / "cli.py").read_text(encoding="utf-8")))
+             if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "add_argument"]
+    flags = [n.args[0].value for n in calls if n.args and isinstance(n.args[0], ast.Constant)]
+    assert {flag: flags.count(flag) for flag in SHARED_OPTIONS} == dict.fromkeys(SHARED_OPTIONS, 1)
+    # every float option parses through the one finite-float type
+    bare = [n.lineno for n in calls for kw in n.keywords
+            if kw.arg == "type" and isinstance(kw.value, ast.Name) and kw.value.id == "float"]
+    assert bare == []

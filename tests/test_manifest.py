@@ -128,15 +128,23 @@ def test_map_wavs_step_sees_the_waveform_as_written(tmp_path, monkeypatch, threa
     monkeypatch.setenv("PADAUG_THREADS", threads)
     records = _noisy_inputs(tmp_path)
     plain = map_wavs(records, tmp_path / "plain", _off_grid, seed=3)
-    new, heard = map_wavs(records, tmp_path / "out", _off_grid, seed=3, step=lambda rec, w: (rec, w))
+    heard = map_wavs(records, tmp_path / "out", _off_grid, seed=3, step=lambda rec, w: (rec, w))
+    new = [rec for rec, _ in heard]
     assert [(r.utt_id, r.num_samples) for r in new] == [(r.utt_id, r.num_samples) for r in plain]
-    assert read_manifest(tmp_path / "out" / "manifest.tsv") == new
-    for rec, (seen, w) in zip(new, heard):
-        assert seen == rec  # the new record, not the input one
+    assert read_manifest(tmp_path / "out" / "manifest.tsv") == new  # the new records, not the input ones
+    for rec, w in heard:
         back = read_wav(rec.wav_path)
         assert w.sample_rate_hz == back.sample_rate_hz
         assert w.samples.tobytes() == back.samples.tobytes()
         assert back.samples.tobytes() == read_wav(tmp_path / "plain" / f"{rec.utt_id}.wav").samples.tobytes()
+
+
+def test_map_wavs_returns_the_step_results(tmp_path):
+    records = _noisy_inputs(tmp_path)[::-1]
+    plain = map_wavs(records, tmp_path / "plain", _off_grid, seed=3)
+    assert plain == read_manifest(tmp_path / "plain" / "manifest.tsv")  # no step: the new records
+    ids = map_wavs(records, tmp_path / "ids", _off_grid, seed=3, step=lambda new, heard: (new.utt_id, len(heard)))
+    assert ids == [(r.utt_id, r.num_samples) for r in records]  # only the step results, in input order
 
 
 def test_map_wavs_nan_sample_publishes_nothing(tmp_path):

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import padaug.model
 from padaug.audio_io import Waveform
 from padaug.augment import PadAugConfig
 from padaug.errors import (
@@ -14,7 +15,7 @@ from padaug.errors import (
     InvalidLabelError,
     TooFewFramesError,
 )
-from padaug.features import FeatureMatrix
+from padaug.features import FeatureMatrix, cmn, fbank
 from padaug.model import (
     CHECKPOINT_MAGIC,
     VAR_FLOOR,
@@ -23,6 +24,7 @@ from padaug.model import (
     TrainingSet,
     aam_loss,
     batch_loss_and_grads,
+    embed_utterance,
     forward,
     init_model,
     load_model,
@@ -474,3 +476,16 @@ def test_checkpoint_corruption(tmp_path):
     (tmp_path / "short.bin").write_bytes(blob[:6])
     with pytest.raises(CorruptHeaderError, match="20-byte header"):
         load_model(tmp_path / "short.bin")
+
+
+def test_embed_utterance_featurizes_once_for_all_models(monkeypatch):
+    w = synth_utterance(make_speaker(5), 1.5, make_rng(6))
+    m1, m2 = (init_model(ToyModelConfig(n_speakers=2, hidden_dim=8, embed_dim=4, seed=s)) for s in (1, 2))
+    expected = [forward(m, cmn(fbank(w))) for m in (m1, m2)]
+    calls = []
+    monkeypatch.setattr(padaug.model, "fbank", lambda *a: (calls.append(1), fbank(*a))[1])
+    got = embed_utterance([m1, m2], w)
+    assert len(calls) == 1
+    assert len(got) == 2
+    for g, e in zip(got, expected):
+        assert g.tobytes() == e.tobytes()

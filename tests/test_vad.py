@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from padaug.audio_io import Waveform
-from padaug.errors import EmptyResultError, InvalidConfigError, LengthMismatchError, TooShortError
+from padaug.errors import InvalidConfigError, LengthMismatchError, TooShortError
 from padaug.seeding import make_rng
 from padaug.vad import SpeechMask, VadConfig, detect, drop_silence, write_mask_dump
 
@@ -96,8 +96,7 @@ def test_drop_silence_identity_and_errors():
     w = Waveform(make_rng(3).standard_normal(6 * STEP), SR)
     out = drop_silence(w, SpeechMask(np.ones(6, dtype=bool), STEP))
     assert np.array_equal(out.samples, w.samples)
-    with pytest.raises(EmptyResultError):
-        drop_silence(w, SpeechMask(np.zeros(6, dtype=bool), STEP))
+    assert drop_silence(w, SpeechMask(np.zeros(6, dtype=bool), STEP)) is w  # no speech: keep the input
     with pytest.raises(LengthMismatchError):
         drop_silence(w, SpeechMask(np.ones(5, dtype=bool), STEP))
 
