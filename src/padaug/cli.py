@@ -6,9 +6,9 @@ embedding extraction, scoring, evaluation, and the ratio sweep.
 
 Conventions: every pipeline subcommand takes a required --seed and is
 fully reproducible from its argv; `--config FILE` supplies key=value
-defaults (keys are long option names, '#' starts a comment) that
-explicit flags override; the resolved configuration is echoed to stderr;
-PADAUG_THREADS caps the worker pool. Exit codes: 0 success, 1 pipeline
+defaults (keys are long option names, '#' starts a comment, each line
+is passed as --key=value) that explicit flags override; the resolved
+configuration is echoed to stderr; PADAUG_THREADS caps the worker pool. Exit codes: 0 success, 1 pipeline
 failure, 2 usage error (bad arguments, or a PADAUG_THREADS that is not an
 integer >= 1).
 """
@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .augment import PadAugConfig, pad_aug_utterance
 from .errors import InvalidConfigError, PadAugError, read_text
-from .features import N_MELS, FeatureMatrix, cmn, fbank, read_feature_dump, write_feature_dump
+from .features import FeatureMatrix, cmn, fbank, read_feature_dump, write_feature_dump
 from .manifest import map_records, map_wavs, read_manifest, staged
 from .metrics import det_metrics, format_report, read_scores, read_trials, score_trials, write_scores
 from .model import ToyModelConfig, embed_utterance, load_model, load_training_set, save_model, train
@@ -63,7 +63,7 @@ def _load_config_tokens(path) -> list:
         elif value.lower() == "false":
             pass  # store_true flags default to false
         else:
-            tokens.extend([flag, value])
+            tokens.append(f"{flag}={value}")  # one token: a value like -1e-3 is not taken for a flag
     return tokens
 
 
@@ -119,7 +119,7 @@ def _cmd_build_testset(args) -> int:
     else:
         k, placement = NAMED_VARIANTS.get(args.variant, (args.k, args.placement))
         snr = None if args.zero_pad else args.snr_db
-        new_records = build_testset(records, args.out, args.seed, k, placement, snr, args.from_start)
+        new_records = build_testset(records, args.out, args.seed, k, placement, snr)
     tag = f"ratio{args.k}" if args.variant == "ratio" else args.variant
     print(f"built {tag} with {len(new_records)} utterances under {args.out}")
     return 0
@@ -127,14 +127,12 @@ def _cmd_build_testset(args) -> int:
 
 def _cmd_featurize(args) -> int:
     records = read_manifest(args.manifest)
-    if args.dither > 0.0 and args.seed is None:
-        raise InvalidConfigError("--dither requires --seed")
 
     def one(rec, w, rng):
-        feats = fbank(w, args.n_mels, args.dither, rng)
+        feats = fbank(w)
         return rec.utt_id, cmn(feats) if args.cmn else feats
 
-    write_feature_dump(args.out, map_records(records, one, args.seed if args.dither > 0.0 else None))
+    write_feature_dump(args.out, map_records(records, one))
     print(f"wrote features for {len(records)} utterances to {args.out}")
     return 0
 
@@ -307,16 +305,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--variant", choices=VARIANT_KINDS, required=True)
     p.add_argument("--k", type=int, default=0, help="padding seconds for the ratio variant")
-    p.add_argument("--from-start", action="store_true", help="chunk from the utterance start")
     p.add_argument("--seed", type=int, required=True)
 
     p = add("featurize", _cmd_featurize, "extract log-Mel features to a binary dump")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--n-mels", type=int, default=N_MELS)
     p.add_argument("--cmn", action="store_true", help="apply utterance-level mean normalization")
-    p.add_argument("--dither", type=_finite_float, default=0.0)
-    p.add_argument("--seed", type=int, default=None)
 
     p = add("vad", _cmd_vad, "drop silent frames with an energy VAD")
     p.add_argument("--manifest", required=True)

@@ -26,8 +26,7 @@ from .seeding import Rng, randint
 FEATURE_MAGIC = b"FBK1"
 
 
-# The front end is fixed; only the number of Mel bands and the dither
-# level are settable.
+# The front end is fixed: every caller gets these settings.
 N_MELS = 80
 WIN_MS = 25.0
 HOP_MS = 10.0
@@ -93,30 +92,29 @@ class _Workspace(threading.local):
     call to call so that each call does not fault fresh temporaries in. The
     buffers grow to the longest input the thread has seen. fbank never
     writes the zero-padded columns frames[:, win:], so the buffers are
-    remade, at the current size, whenever (win, n_fft, n_mels) changes."""
+    remade, at the current size, whenever win changes (n_fft follows
+    from win)."""
 
-    key = None
+    win = None
 
-    def spectra(self, nf: int, win: int, n_fft: int, n_mels: int):
+    def spectra(self, nf: int, win: int, n_fft: int):
         """(frames, spectrum, power, energies) views of nf rows each."""
-        if self.key != (win, n_fft, n_mels) or len(self.frames) < nf:
+        if self.win != win or len(self.frames) < nf:
             n_bins = n_fft // 2 + 1
             self.frames = np.zeros((nf, n_fft))
             self.spec = np.empty((nf, n_bins), dtype=np.complex128)
             self.power = np.empty((nf, n_bins))
-            self.energies = np.empty((nf, n_mels))
-            self.key = (win, n_fft, n_mels)
+            self.energies = np.empty((nf, N_MELS))
+            self.win = win
         return self.frames[:nf], self.spec[:nf], self.power[:nf], self.energies[:nf]
 
 
 _WORKSPACE = _Workspace()
 
 
-def fbank(w: Waveform, n_mels: int = N_MELS, dither: float = 0.0, rng: Rng | None = None) -> FeatureMatrix:
-    """Log-Mel features; frames = 1 + floor((len - win) / hop). dither is
-    the stddev of optional pre-FFT noise drawn from rng, 0 = off."""
-    if n_mels < 1:
-        raise InvalidConfigError(f"n_mels must be >= 1, got {n_mels}")
+def fbank(w: Waveform) -> FeatureMatrix:
+    """N_MELS log-Mel features of w under the fixed front end above;
+    frames = 1 + floor((len - win) / hop)."""
     sr = w.sample_rate_hz
     win = round(WIN_MS * sr / 1000.0)
     hop = round(HOP_MS * sr / 1000.0)
@@ -125,10 +123,6 @@ def fbank(w: Waveform, n_mels: int = N_MELS, dither: float = 0.0, rng: Rng | Non
     if len(w) < win:
         raise TooShortError(f"need at least {win} samples, got {len(w)}")
     x = w.samples
-    if dither > 0.0:
-        if rng is None:
-            raise InvalidConfigError("dither requires an rng")
-        x = x + dither * rng.standard_normal(len(x))
     # Pre-emphasis over the whole signal; frames then share boundary context.
     # Computed in place in pre, with no signal-length temporaries.
     pre = np.empty_like(x)
@@ -140,11 +134,11 @@ def fbank(w: Waveform, n_mels: int = N_MELS, dither: float = 0.0, rng: Rng | Non
     n_fft = 1 << (win - 1).bit_length()  # next power of two >= win
     # From here on every step writes into the thread's scratch, with the
     # shapes the plain expressions had, so the results are bit-identical.
-    frames, spec, power, energies = _WORKSPACE.spectra(len(view), win, n_fft, n_mels)
+    frames, spec, power, energies = _WORKSPACE.spectra(len(view), win, n_fft)
     np.multiply(view, _hamming(win), out=frames[:, :win])
     np.fft.rfft(frames, axis=1, out=spec)  # frames is already zero-padded to n_fft
     np.square(np.abs(spec, out=power), out=power)
-    np.matmul(power, mel_filterbank(n_mels, n_fft, sr).T, out=energies)
+    np.matmul(power, mel_filterbank(N_MELS, n_fft, sr).T, out=energies)
     # The only fresh array, so no result aliases the scratch.
     out = np.maximum(energies, LOG_FLOOR)
     np.log(out, out=out)

@@ -44,15 +44,12 @@ VARIANT_KINDS = ("original", *NAMED_VARIANTS, "ratio")
 PLACEMENTS = ("head-tail-even", "per-layout", "head-mid-tail-even")
 
 
-def build_chunk3s(w: Waveform, rng: Rng, from_start: bool = False) -> Waveform:
+def build_chunk3s(w: Waveform, rng: Rng) -> Waveform:
     """Random contiguous 3 s chunk; shorter inputs are loop-padded first."""
     if len(w) == 0:
         raise EmptyInputError("cannot chunk an empty waveform")
     t_s = round(CHUNK_SECONDS * w.sample_rate_hz)
-    padded = loop_pad(w, t_s)
-    if from_start:
-        return Waveform(padded.samples[:t_s].copy(), w.sample_rate_hz)
-    return random_chunk(padded, t_s, rng)
+    return random_chunk(loop_pad(w, t_s), t_s, rng)
 
 
 def check_ratio(k_seconds: int, placement: str) -> None:
@@ -101,7 +98,6 @@ def build_testset(
     k_seconds: int,
     placement: str = "head-tail-even",
     snr_db=TEST_SNR_DB,
-    from_start: bool = False,
     step=lambda new, heard: new,
 ):
     """Write every record's 3 s chunk padded by build_ratio to out_dir,
@@ -112,7 +108,7 @@ def build_testset(
     check_ratio(k_seconds, placement)
 
     def one(rec, w: Waveform, rng: Rng) -> Waveform:
-        return build_ratio(build_chunk3s(w, rng, from_start=from_start), k_seconds, placement, snr_db, rng)
+        return build_ratio(build_chunk3s(w, rng), k_seconds, placement, snr_db, rng)
 
     return map_wavs(records, out_dir, one, seed, step)
 

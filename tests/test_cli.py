@@ -293,7 +293,7 @@ THREADED_ARGV = {
     "build-testset": ("--manifest {corpus}/manifest.tsv --out {out} --variant ratio --k 2 "
                       "--placement per-layout --seed 3", 6 + 1),
     "embed": ("--manifest {corpus}/manifest.tsv --model {model} --out {out}/emb.bin", 2),
-    "featurize": ("--manifest {corpus}/manifest.tsv --out {out}/feats.bin --cmn --dither 0.1 --seed 4", 2),
+    "featurize": ("--manifest {corpus}/manifest.tsv --out {out}/feats.bin --cmn", 2),
     "synth": ("--out {out} --n-speakers 2 --n-utts 3 --duration 1.0 --seed 21", 6 + 2),
     "train": ("--manifest {corpus}/manifest.tsv --out {out}/m.bin --augment ht --steps 3 --warmup-steps 1 "
               "--batch-size 4 --hidden-dim 8 --embed-dim 4 --chunk-frames 50 --log {out}/log.tsv --seed 21", 3),
@@ -577,6 +577,15 @@ def test_config_file_precedence(tmp_path):
     assert len(records) == 6  # explicit flag beat the config value
 
 
+def test_config_negative_exponent_float(tmp_path, monkeypatch, capsys):
+    # a value is spliced in as --key=value, so "-1e-3" is not taken for a flag
+    (tmp_path / "aug.cfg").write_text("snr_min = -1e-3\n")
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main(["augment", "--config", "aug.cfg", "--manifest", "m.tsv", "--out", "o", "--seed", "1"]) == 1
+    assert " snr_min=-0.001 " in capsys.readouterr().err.splitlines()[0]
+
+
 def test_config_boolean_flag(tmp_path, corpus):
     cfg = tmp_path / "ts.cfg"
     cfg.write_text("zero_pad=true\nvariant=ratio\nk=1\n")
@@ -602,9 +611,6 @@ def test_exit_codes(tmp_path, corpus):
     bad_cfg.write_text("no equals sign here\n")
     rc = main(["synth", "--config", str(bad_cfg), "--out", str(tmp_path / "x"), "--seed", "1"])
     assert rc == 1
-    rc = main(["featurize", "--manifest", str(corpus / "manifest.tsv"),
-               "--out", str(tmp_path / "f.bin"), "--dither", "0.1"])
-    assert rc == 1  # dither without a seed
     rc = main(["sweep", "--manifest", str(corpus / "manifest.tsv"),
                "--trials", str(corpus / "trials.txt"), "--model", "nopath",
                "--out", str(tmp_path / "s.tsv"), "--seed", "1"])
@@ -630,8 +636,9 @@ RESOLVED_DEFAULTS = {
               "lr_final=5e-05 lr_init=0.1 manifest=m.tsv margin=0.2 margin_warm_steps=-1 out=o scale=32.0 seed=1 "
               "snr_max=30.0 snr_min=15.0 steps=1000 t_max=3.0 t_min=1.0 warmup_steps=100"),
     "build-testset": (["--manifest", "m.tsv", "--out", "o", "--variant", "ratio", "--seed", "1"],
-                      "command=build-testset from_start=False k=0 manifest=m.tsv out=o placement=head-tail-even "
+                      "command=build-testset k=0 manifest=m.tsv out=o placement=head-tail-even "
                       "seed=1 snr_db=25.0 variant=ratio zero_pad=False"),
+    "featurize": (["--manifest", "m.tsv", "--out", "o"], "cmn=False command=featurize manifest=m.tsv out=o"),
     "sweep": (["--manifest", "m.tsv", "--trials", "t.txt", "--model", "a=a.bin", "--out", "o", "--seed", "1"],
               "command=sweep manifest=m.tsv model=['a=a.bin'] out=o p_target=0.01 placement=head-tail-even seed=1 "
               "snr_db=25.0 trials=t.txt work_dir=None zero_pad=False"),
@@ -645,6 +652,23 @@ def test_resolved_config_defaults_are_pinned(tmp_path, monkeypatch, capsys, comm
     capsys.readouterr()
     assert main([command] + argv) == 1  # m.tsv does not exist
     assert capsys.readouterr().err.splitlines()[0] == "resolved-config: " + resolved
+
+
+# Flags that padaug does not have: each is a usage error, never a silent no-op.
+REMOVED_FLAGS = {
+    "featurize-n-mels": "featurize --manifest {m} --out {out} --n-mels 40",
+    "featurize-dither": "featurize --manifest {m} --out {out} --dither 0.1 --seed 4",
+    "build-testset-from-start": "build-testset --manifest {m} --out {out} --variant chunk3s --seed 1 --from-start",
+}
+
+
+@pytest.mark.parametrize("case", sorted(REMOVED_FLAGS))
+def test_removed_flag_is_usage_error(corpus, tmp_path, case):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(REMOVED_FLAGS[case].format(m=corpus / "manifest.tsv", out=out).split())
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 NON_FINITE = {

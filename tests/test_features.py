@@ -34,15 +34,13 @@ def tone(freq, seconds=3.0, amp=0.5):
     return Waveform(amp * np.sin(2 * np.pi * freq / SR * np.arange(n)), SR)
 
 
-def fbank_ref(w, n_mels=N_MELS, dither=0.0, rng=None):
+def fbank_ref(w):
     """The uncached fbank: fancy-index framing, a fresh Hamming window and a
     freshly built filterbank on every call."""
     sr = w.sample_rate_hz
     win = round(WIN_MS * sr / 1000.0)
     hop = round(HOP_MS * sr / 1000.0)
     x = w.samples
-    if dither > 0.0:
-        x = x + dither * rng.standard_normal(len(x))
     pre = np.empty_like(x)
     pre[0] = x[0]
     pre[1:] = x[1:] - PREEMPHASIS * x[:-1]
@@ -53,7 +51,7 @@ def fbank_ref(w, n_mels=N_MELS, dither=0.0, rng=None):
 
     n_fft = 1 << (win - 1).bit_length()
     power = np.abs(np.fft.rfft(frames, n=n_fft, axis=1)) ** 2
-    energies = power @ mel_filterbank.__wrapped__(n_mels, n_fft, sr).T
+    energies = power @ mel_filterbank.__wrapped__(N_MELS, n_fft, sr).T
     return FeatureMatrix(np.log(np.maximum(energies, LOG_FLOOR)))
 
 
@@ -69,20 +67,14 @@ def test_frame_count_formula():
 
 
 # Sample counts: 400, 401, 3 s, 4 s + 17 and 11 s at each rate.
-REF_CASES = [(sr, n, n_mels, dither)
-             for sr in (8000, 16000)
-             for n in (400, 401, 3 * sr, 4 * sr + 17, 11 * sr)
-             for n_mels in (1, 40, 80)
-             for dither in (0.0, 1e-3)]
+REF_CASES = [(sr, n) for sr in (8000, 16000) for n in (400, 401, 3 * sr, 4 * sr + 17, 11 * sr)]
 
 
-@pytest.mark.parametrize("sr, n, n_mels, dither", REF_CASES)
-def test_fbank_matches_reference(sr, n, n_mels, dither):
+@pytest.mark.parametrize("sr, n", REF_CASES)
+def test_fbank_matches_reference(sr, n):
     rng = make_rng(n + sr)
     w = Waveform(0.3 * rng.standard_normal(n) + 0.2 * np.sin(2 * np.pi * 440.0 / sr * np.arange(n)), sr)
-    got = fbank(w, n_mels, dither, make_rng(5) if dither else None)
-    want = fbank_ref(w, n_mels, dither, make_rng(5) if dither else None)
-    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(fbank(w).values, fbank_ref(w).values)
 
 
 def test_cached_constants_are_shared_read_only(monkeypatch):
@@ -106,11 +98,10 @@ def test_scratch_reuse_matches_reference():
     # One thread, so every call reuses the same scratch. 12 kHz has win 300
     # but the same n_fft 512 as 16 kHz (win 400): scratch kept across that
     # switch would feed the previous rate's samples in columns [300:400].
-    calls = [(16000, 11 * 16000, 80), (16000, 400, 80), (12000, 3 * 12000, 80),
-             (16000, 3 * 16000, 80), (16000, 3 * 16000, 1), (16000, 3 * 16000, 80)]
-    for i, (sr, n, n_mels) in enumerate(calls):
+    calls = [(16000, 11 * 16000), (16000, 400), (12000, 3 * 12000), (16000, 3 * 16000)]
+    for i, (sr, n) in enumerate(calls):
         w = noisy(sr, n, seed=i)
-        assert np.array_equal(fbank(w, n_mels).values, fbank_ref(w, n_mels).values), (sr, n, n_mels)
+        assert np.array_equal(fbank(w).values, fbank_ref(w).values), (sr, n)
 
 
 def test_result_does_not_alias_scratch():
@@ -215,19 +206,6 @@ def test_chunk_frames_validation():
         chunk_frames(f, 0, make_rng(0))
     with pytest.raises(TooShortError):
         chunk_frames(FeatureMatrix(np.zeros((0, 2))), 3, make_rng(0))
-
-
-def test_config_validation():
-    with pytest.raises(InvalidConfigError):
-        fbank(tone(500), n_mels=0)
-
-
-def test_dither_needs_rng():
-    with pytest.raises(InvalidConfigError):
-        fbank(tone(500), dither=1e-5)
-    a = fbank(tone(500), dither=1e-5, rng=make_rng(3))
-    b = fbank(tone(500), dither=1e-5, rng=make_rng(3))
-    assert np.array_equal(a.values, b.values)
 
 
 def test_dump_roundtrip(tmp_path):
