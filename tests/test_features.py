@@ -66,15 +66,29 @@ def test_frame_count_formula():
         assert fbank(Waveform(np.ones(n), SR)).frames == expected
 
 
-# Sample counts: 400, 401, 3 s, 4 s + 17 and 11 s at each rate.
-REF_CASES = [(sr, n) for sr in (8000, 16000) for n in (400, 401, 3 * sr, 4 * sr + 17, 11 * sr)]
+# Sample counts: 400, 401, 3 s, 4 s + 17 and 11 s at each rate; the share
+# of the samples, in percent, silenced at the head and tail as padding
+# leaves them; and the stddev of a noise floor added over the whole input
+# (0.0 keeps the silence digital, so frames inside it hit LOG_FLOOR).
+REF_CASES = [(sr, n, pad_pct, floor)
+             for sr in (8000, 16000)
+             for n in (400, 401, 3 * sr, 4 * sr + 17, 11 * sr)
+             for pad_pct in (1, 40, 80)
+             for floor in (0.0, 1e-3)]
 
 
-@pytest.mark.parametrize("sr, n", REF_CASES)
-def test_fbank_matches_reference(sr, n):
+@pytest.mark.parametrize("sr, n, pad_pct, floor", REF_CASES)
+def test_fbank_matches_reference(sr, n, pad_pct, floor):
     rng = make_rng(n + sr)
-    w = Waveform(0.3 * rng.standard_normal(n) + 0.2 * np.sin(2 * np.pi * 440.0 / sr * np.arange(n)), sr)
-    assert np.array_equal(fbank(w).values, fbank_ref(w).values)
+    x = 0.3 * rng.standard_normal(n) + 0.2 * np.sin(2 * np.pi * 440.0 / sr * np.arange(n))
+    edge = n * pad_pct // 200
+    x[:edge] = 0.0
+    x[n - edge :] = 0.0
+    w = Waveform(x + floor * make_rng(5).standard_normal(n), sr)
+    got = fbank(w).values
+    assert np.array_equal(got, fbank_ref(w).values)
+    if floor == 0.0 and edge >= round(WIN_MS * sr / 1000.0):
+        assert np.all(got[0] == np.log(LOG_FLOOR))
 
 
 def test_cached_constants_are_shared_read_only(monkeypatch):

@@ -82,16 +82,24 @@ def pad_fixed_ref(w3s, head_s, tail_s, mid_s, snr_db, rng):
     return assemble(w3s, layout, noise)
 
 
+@pytest.mark.parametrize("from_start", [False, True])
 @pytest.mark.parametrize("snr_db", [25.0, None])
 @pytest.mark.parametrize("seed", range(4))
-def test_build_ratio_matches_fixed_padding_oracle(seed, snr_db):
+def test_build_ratio_matches_fixed_padding_oracle(seed, snr_db, from_start):
     # chunk3s-ht is k=2 head-tail-even and chunk3s-hmt is k=3
     # head-mid-tail-even, drawing from the chunk's rng in the same order.
+    # from_start pads x's first 3 s with a fresh rng; build_chunk3s instead
+    # draws a chunk offset, which leaves half a 64-bit word buffered that
+    # the split point consumes without advancing the noise stream.
     x = speech(5 * SR, seed=seed)
+
+    def chunk(rng):
+        return Waveform(x.samples[: 3 * SR].copy(), SR) if from_start else build_chunk3s(x, rng)
+
     for k, placement, mid_s in ((2, "head-tail-even", 0), (3, "head-mid-tail-even", 1)):
         rng_new, rng_ref = make_rng(100 + seed), make_rng(100 + seed)
-        new = build_ratio(build_chunk3s(x, rng_new), k, placement, snr_db, rng_new)
-        ref = pad_fixed_ref(build_chunk3s(x, rng_ref), 1, 1, mid_s, snr_db, rng_ref)
+        new = build_ratio(chunk(rng_new), k, placement, snr_db, rng_new)
+        ref = pad_fixed_ref(chunk(rng_ref), 1, 1, mid_s, snr_db, rng_ref)
         assert np.array_equal(new.samples, ref.samples)
 
 
