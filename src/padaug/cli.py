@@ -22,7 +22,8 @@ from .augment import PadAugConfig, pad_aug_utterance
 from .errors import InvalidConfigError, PadAugError, read_text
 from .features import FeatureMatrix, cmn, fbank, read_feature_dump, write_feature_dump
 from .manifest import map_records, map_wavs, read_manifest, staged
-from .metrics import det_metrics, format_report, read_scores, read_trials, score_trials, write_scores
+from .metrics import (check_costs, check_ids, check_kinds, det_metrics, format_report, read_scores, read_trials,
+                      score_trials, write_scores)
 from .model import ToyModelConfig, embed_utterance, load_model, load_training_set, save_model, train
 from .synth import build_corpus
 from .testset import CHUNK_SECONDS, NAMED_VARIANTS, PLACEMENTS, TEST_SNR_DB, VARIANT_KINDS, build_testset, ratio_sweep
@@ -113,6 +114,8 @@ def _cmd_augment(args) -> int:
 
 
 def _cmd_build_testset(args) -> int:
+    if args.k != 0 and args.variant != "ratio":
+        raise InvalidConfigError(f"--k applies to --variant ratio only, got --k {args.k} with --variant {args.variant}")
     records = read_manifest(args.manifest)
     if args.variant == "original":
         new_records = map_wavs(records, args.out, lambda rec, w, rng: w)
@@ -231,6 +234,9 @@ def _cmd_eval(args) -> int:
 def _cmd_sweep(args) -> int:
     records = read_manifest(args.manifest)
     trials = read_trials(args.trials)
+    ids = [rec.utt_id for rec in records]
+    check_ids(trials, set(ids))
+    check_kinds(trials.is_target)
     specs = {}
     for spec in args.model:
         name, eq, path = spec.partition("=")
@@ -242,15 +248,15 @@ def _cmd_sweep(args) -> int:
         if name in specs:
             raise InvalidConfigError(f"--model NAME {name!r} given twice")
         specs[name] = path
-    models = [(name, load_model(path)) for name, path in specs.items()]
+    check_costs(args.p_target)
+    models = {name: load_model(path) for name, path in specs.items()}
     work_dir = Path(args.work_dir) if args.work_dir else Path(str(args.out) + ".work")
     snr = None if args.zero_pad else args.snr_db
 
     lines = ["system\tk_seconds\tratio\teer\tmin_dcf"]
-    sweep = ratio_sweep(records, trials, models, work_dir, args.seed,
-                        placement=args.placement, snr_db=snr, p_target=args.p_target)
-    for k, rows in sweep:
-        for name, m in rows:
+    for k, embs in ratio_sweep(records, list(models.values()), work_dir, args.seed, args.placement, snr):
+        for name, emb in zip(models, embs):
+            m = det_metrics(score_trials(trials, dict(zip(ids, emb))), trials.is_target, p_target=args.p_target)
             lines.append(f"{name}\t{k}\t{k / CHUNK_SECONDS:.4f}\t{m.eer:.6f}\t{m.min_dcf:.6f}")
             print(f"ratio {k}/{CHUNK_SECONDS:g} {name}: eer {m.eer:.4f} min_dcf {m.min_dcf:.4f}", file=sys.stderr)
     with staged(args.out) as (tmp,):
@@ -303,8 +309,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("build-testset", _cmd_build_testset, "materialize an evaluation variant", test_pad)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--variant", choices=VARIANT_KINDS, required=True)
-    p.add_argument("--k", type=int, default=0, help="padding seconds for the ratio variant")
+    p.add_argument("--variant", choices=VARIANT_KINDS, required=True, help="a named variant fixes both k and placement")
+    p.add_argument("--k", type=int, default=0, help="padding seconds, for the ratio variant only")
     p.add_argument("--seed", type=int, required=True)
 
     p = add("featurize", _cmd_featurize, "extract log-Mel features to a binary dump")

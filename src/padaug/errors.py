@@ -61,8 +61,8 @@ class DegenerateTrialSetError(PadAugError):
     """Trial set lacks target or non-target entries."""
 
 
-class MissingEmbeddingError(PadAugError, KeyError):
-    """A trial references an id absent from the embedding store."""
+class MissingEmbeddingError(PadAugError):
+    """A trial references an id absent from the embedding store or score file."""
 
 
 class DatasetTooSmallError(PadAugError):

@@ -3,8 +3,8 @@
 Acceptance convention throughout: a trial is accepted when its score is
 >= the threshold (ties accept). FRR(t) is the fraction of target scores
 strictly below t; FAR(t) the fraction of non-target scores >= t. Both
-metrics sweep the observed scores as candidate thresholds, plus one
-sentinel above the maximum for the reject-everything operating point.
+metrics are read off the one DET curve det_metrics builds over the observed
+scores, plus a sentinel above the maximum for the reject-everything point.
 
 EER is read off the FRR/FAR crossing with linear interpolation between
 the two adjacent operating points (no convex-hull smoothing). minDCF is
@@ -12,8 +12,8 @@ the exact minimum over the swept thresholds, normalized by
 min(c_miss*p_target, c_fa*(1-p_target)) so a system that always rejects
 (or always accepts) scores 1.0.
 
-A trial list is a `Trials` of three columns; scores are a float array in
-trial order.
+A trial list is a `Trials` of three columns (check_ids and check_kinds vet
+it before any scoring); scores are a float array in trial order.
 """
 
 from dataclasses import dataclass
@@ -52,68 +52,70 @@ class DetMetrics:
     dcf_threshold: float
 
 
-def _split_scores(scores, is_target):
+def check_costs(p_target: float, c_miss: float = 1.0, c_fa: float = 1.0) -> None:
+    """Raise unless det_metrics accepts the detection-cost parameters."""
+    if not 0.0 < p_target < 1.0 or c_miss <= 0.0 or c_fa <= 0.0:
+        raise InvalidConfigError("need 0 < p_target < 1 and positive costs")
+
+
+def check_kinds(is_target) -> None:
+    """Raise unless the labels hold both target and non-target trials."""
+    n_target = int(np.count_nonzero(is_target))
+    if not 0 < n_target < len(is_target):
+        raise DegenerateTrialSetError(f"need both trial kinds, got {n_target} target / {len(is_target) - n_target} non-target")
+
+
+def check_ids(trials: Trials, known) -> list:
+    """The ids the trials use, in order of first use; raises on the first not in known."""
+    ids = list(dict.fromkeys(trials.enroll + trials.test))
+    for utt in ids:
+        if utt not in known:
+            raise MissingEmbeddingError(f"no embedding for {utt!r}")
+    return ids
+
+
+def det_metrics(scores, is_target, p_target: float = 0.01, c_miss: float = 1.0, c_fa: float = 1.0) -> DetMetrics:
+    """EER and normalized minDCF, both read off one DET curve."""
     scores = np.asarray(scores, dtype=np.float64)
     is_target = np.asarray(is_target, dtype=bool)
     if scores.ndim != 1 or scores.shape != is_target.shape:
         raise DimMismatchError(f"scores {scores.shape} and labels {is_target.shape} differ in shape")
+    check_kinds(is_target)
+    if not np.all(np.isfinite(scores)):
+        raise InvalidConfigError("non-finite score in trial set")
+    check_costs(p_target, c_miss, c_fa)
     targets = np.sort(scores[is_target])
     nons = np.sort(scores[~is_target])
-    if len(targets) == 0 or len(nons) == 0:
-        raise DegenerateTrialSetError(f"need both trial kinds, got {len(targets)} target / {len(nons)} non-target")
-    if not (np.all(np.isfinite(targets)) and np.all(np.isfinite(nons))):
-        raise InvalidConfigError("non-finite score in trial set")
-    return targets, nons
-
-
-def _rates(targets, nons, thresholds):
-    frr = np.searchsorted(targets, thresholds, side="left") / len(targets)
-    far = (len(nons) - np.searchsorted(nons, thresholds, side="left")) / len(nons)
-    return frr, far
-
-
-def _thresholds(targets, nons):
     all_scores = np.concatenate([targets, nons])
-    return np.concatenate([np.unique(all_scores), [all_scores.max() + 1.0]])
-
-
-def eer(scores, is_target) -> tuple:
-    """(eer, threshold) at the interpolated FRR/FAR crossing."""
-    targets, nons = _split_scores(scores, is_target)
-    thr = _thresholds(targets, nons)
-    frr, far = _rates(targets, nons, thr)
+    thr = np.concatenate([np.unique(all_scores), [all_scores.max() + 1.0]])
+    frr = np.searchsorted(targets, thr, side="left") / len(targets)
+    far = (len(nons) - np.searchsorted(nons, thr, side="left")) / len(nons)
     diff = frr - far
     # diff starts at -1 (threshold <= every score) and ends at +1 (sentinel),
     # so the first nonnegative index always has a predecessor.
     i = int(np.argmax(diff >= 0.0))
     if diff[i] == 0.0:
-        return float(frr[i]), float(thr[i])
-    u = (far[i - 1] - frr[i - 1]) / ((frr[i] - frr[i - 1]) - (far[i] - far[i - 1]))
-    value = frr[i - 1] + u * (frr[i] - frr[i - 1])
-    return float(value), float(thr[i - 1] + u * (thr[i] - thr[i - 1]))
+        e, e_thr = frr[i], thr[i]
+    else:
+        u = (far[i - 1] - frr[i - 1]) / ((frr[i] - frr[i - 1]) - (far[i] - far[i - 1]))
+        e, e_thr = frr[i - 1] + u * (frr[i] - frr[i - 1]), thr[i - 1] + u * (thr[i] - thr[i - 1])
+    dcf = c_miss * p_target * frr + c_fa * (1.0 - p_target) * far
+    j = int(np.argmin(dcf))
+    norm = min(c_miss * p_target, c_fa * (1.0 - p_target))
+    return DetMetrics(eer=float(e), eer_threshold=float(e_thr), min_dcf=float(dcf[j] / norm), dcf_threshold=float(thr[j]))
 
 
-def check_costs(p_target: float, c_miss: float = 1.0, c_fa: float = 1.0) -> None:
-    """Raise unless min_dcf accepts the detection-cost parameters."""
-    if not 0.0 < p_target < 1.0 or c_miss <= 0.0 or c_fa <= 0.0:
-        raise InvalidConfigError("need 0 < p_target < 1 and positive costs")
+def eer(scores, is_target) -> tuple:
+    """(eer, threshold) at the interpolated FRR/FAR crossing."""
+    m = det_metrics(scores, is_target)
+    return m.eer, m.eer_threshold
 
 
 def min_dcf(scores, is_target, p_target: float = 0.01, c_miss: float = 1.0, c_fa: float = 1.0) -> tuple:
     """(normalized minDCF, threshold) over the observed thresholds."""
     check_costs(p_target, c_miss, c_fa)
-    targets, nons = _split_scores(scores, is_target)
-    thr = _thresholds(targets, nons)
-    p_miss, p_fa = _rates(targets, nons, thr)
-    dcf = c_miss * p_target * p_miss + c_fa * (1.0 - p_target) * p_fa
-    i = int(np.argmin(dcf))
-    return float(dcf[i] / min(c_miss * p_target, c_fa * (1.0 - p_target))), float(thr[i])
-
-
-def det_metrics(scores, is_target, p_target: float = 0.01, c_miss: float = 1.0, c_fa: float = 1.0) -> DetMetrics:
-    e, et = eer(scores, is_target)
-    d, dt = min_dcf(scores, is_target, p_target=p_target, c_miss=c_miss, c_fa=c_fa)
-    return DetMetrics(eer=e, eer_threshold=et, min_dcf=d, dcf_threshold=dt)
+    m = det_metrics(scores, is_target, p_target, c_miss, c_fa)
+    return m.min_dcf, m.dcf_threshold
 
 
 def score_trials(trials: Trials, store) -> np.ndarray:
@@ -127,10 +129,7 @@ def score_trials(trials: Trials, store) -> np.ndarray:
     block = 4096  # trials per gather
     if n == 0:
         return np.zeros(0)
-    ids = list(dict.fromkeys(trials.enroll + trials.test))
-    for utt in ids:
-        if utt not in store:
-            raise MissingEmbeddingError(f"no embedding for {utt!r}")
+    ids = check_ids(trials, store)
     rows = [np.asarray(store[utt], dtype=np.float64) for utt in ids]
     shapes = {r.shape for r in rows}
     if len(shapes) > 1 or rows[0].ndim != 1:

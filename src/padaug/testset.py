@@ -5,8 +5,9 @@ k in [0, 8] extra seconds by build_ratio, under one of three placements
 (head-tail, random head/tail split, or head-mid-tail), so its spec is the
 pair (k_seconds, placement). The named variants are aliases: chunk3s is
 k=0, chunk3s-ht is 1 s at head and tail (k=2), chunk3s-hmt is 1 s at
-head, mid and tail (k=3). ratio_sweep builds every k and scores models on
-each, embedding every padded utterance in the pass that writes it.
+head, mid and tail (k=3). ratio_sweep builds every k and embeds every
+padded utterance with each model in the pass that writes it; scoring the
+embeddings is the caller's.
 Padding "silence" is white Gaussian noise at a fixed SNR (default 25 dB)
 so the padded regions resemble a quiet recording floor; digital zeros are
 available by passing snr_db=None.
@@ -26,7 +27,6 @@ from .audio_io import Waveform
 from .augment import PaddingLayout, assemble, loop_pad, random_chunk, wgn_like
 from .errors import EmptyInputError, InvalidConfigError, InvalidRatioError, LengthMismatchError
 from .manifest import map_wavs
-from .metrics import check_costs, det_metrics, score_trials
 from .model import embed_utterance
 from .seeding import Rng, randint
 
@@ -113,24 +113,17 @@ def build_testset(
     return map_wavs(records, out_dir, one, seed, step)
 
 
-def ratio_sweep(records, trials, models, work_dir, seed, placement="head-tail-even", snr_db=TEST_SNR_DB, p_target=0.01):
-    """Score every model on the ratio variant for k = 0..MAX_RATIO_SECONDS.
+def ratio_sweep(records, models, work_dir, seed, placement="head-tail-even", snr_db=TEST_SNR_DB):
+    """Embed the ratio variant with every model for k = 0..MAX_RATIO_SECONDS.
 
-    models: (name, ToyModel) pairs. Each k is one build_testset pass that
-    writes work_dir/ratio<k> and, in the same worker, embeds each padded
-    utterance from memory as written with embed_utterance. The directory
-    is published only once every utterance is embedded, before
-    (k, [(name, DetMetrics), ...]) is yielded in model order. A bad
-    p_target raises before k = 0 is built.
+    Each k is one build_testset pass that writes work_dir/ratio<k> and, in
+    the same worker, embeds each padded utterance from memory as written
+    with embed_utterance; the directory is published before (k, embs) is
+    yielded. embs[j] is models[j]'s (len(records), embed_dim) float64
+    matrix, one row per record in record order.
     """
-    check_costs(p_target)
     work_dir = Path(work_dir)
-    nets = [model for _, model in models]
     for k in range(MAX_RATIO_SECONDS + 1):
         embs = build_testset(records, work_dir / f"ratio{k}", seed, k, placement, snr_db,
-                             step=lambda rec, heard: embed_utterance(nets, heard))
-        rows = []
-        for j, (name, _) in enumerate(models):
-            store = {rec.utt_id: e[j] for rec, e in zip(records, embs)}
-            rows.append((name, det_metrics(score_trials(trials, store), trials.is_target, p_target=p_target)))
-        yield k, rows
+                             step=lambda rec, heard: embed_utterance(models, heard))
+        yield k, [np.reshape([e[j] for e in embs], (len(records), m.embed_dim)) for j, m in enumerate(models)]

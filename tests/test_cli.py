@@ -19,6 +19,7 @@ from padaug.manifest import UtteranceRecord, read_manifest, write_manifest
 from padaug.metrics import Trials, write_scores, write_trials
 from padaug.model import ToyModelConfig, init_model, load_model, save_model
 from padaug.seeding import make_rng
+from padaug.testset import ratio_sweep
 from padaug.vad import SpeechMask, write_mask_dump
 
 
@@ -106,6 +107,18 @@ def test_build_testset_zero_pad(corpus, tmp_path):
         assert np.all(w.samples[-8000:] == 0.0)
 
 
+@pytest.mark.parametrize("variant", ["original", "chunk3s", "chunk3s-ht", "chunk3s-hmt"])
+def test_build_testset_k_needs_ratio_variant(corpus, tmp_path, capsys, variant):
+    # a named variant fixes k and placement: --k with it is an error, not a no-op
+    out = tmp_path / "ts"
+    capsys.readouterr()
+    assert main(["build-testset", "--manifest", str(corpus / "manifest.tsv"), "--out", str(out),
+                 "--variant", variant, "--k", "5", "--placement", "head-mid-tail-even", "--seed", "1"]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: --k applies to --variant ratio only, got --k 5 with --variant {variant}")
+    assert not out.exists()
+
+
 def test_featurize_train_embed_score_eval(corpus, tmp_path, capsys):
     feats = tmp_path / "feats.bin"
     assert main(["featurize", "--manifest", str(corpus / "manifest.tsv"),
@@ -158,6 +171,32 @@ def test_eval_worked_example(tmp_path, capsys):
                  "--scores", str(tmp_path / "scores.txt")]) == 0
     row = capsys.readouterr().out.splitlines()[1].split("\t")
     assert row == ["testset", "0.500000", "0.500000", "0.600000", "0.800000"]
+
+
+def test_missing_id_error_is_plain_text(corpus, model_file, tmp_path, capsys):
+    # the message as raised, not a KeyError repr in quotes
+    emb = tmp_path / "emb.bin"
+    assert main(["embed", "--manifest", str(corpus / "manifest.tsv"), "--model", str(model_file), "--out", str(emb)]) == 0
+    (tmp_path / "trials.txt").write_text("0 spk000_u000 ghost\n")
+    (tmp_path / "scores.txt").write_text("spk000_u000 spk000_u001 0.500000\n")
+    for argv, message in ((["score", "--embeddings", str(emb), "--out", str(tmp_path / "s.txt")],
+                           "no embedding for 'ghost'"),
+                          (["eval", "--scores", str(tmp_path / "scores.txt")],
+                           "no score for trial ('spk000_u000', 'ghost')")):
+        capsys.readouterr()
+        assert main([argv[0], "--trials", str(tmp_path / "trials.txt"), *argv[1:]]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+
+
+def test_score_accepts_target_only_trials(corpus, model_file, tmp_path):
+    # only det_metrics needs both trial kinds
+    emb = tmp_path / "emb.bin"
+    assert main(["embed", "--manifest", str(corpus / "manifest.tsv"), "--model", str(model_file), "--out", str(emb)]) == 0
+    write_trials(Trials(("spk000_u000", "spk001_u000"), ("spk000_u001", "spk001_u002"), (True, True)),
+                 tmp_path / "trials.txt")
+    assert main(["score", "--trials", str(tmp_path / "trials.txt"), "--embeddings", str(emb),
+                 "--out", str(tmp_path / "scores.txt")]) == 0
+    assert len((tmp_path / "scores.txt").read_text().splitlines()) == 2
 
 
 def test_vad_cmd(tmp_path):
@@ -257,6 +296,31 @@ def test_sweep_bad_p_target_builds_nothing(tmp_path, capsys):
     assert not (tmp_path / "s.tsv.work").exists()  # checked before k = 0 is padded
 
 
+BAD_TRIALS = {
+    "unknown-id": ("1 spk000_u000 spk000_u001\n0 spk000_u000 ghost\n", "no embedding for 'ghost'"),
+    "target-only": ("1 spk000_u000 spk000_u001\n1 spk000_u000 spk000_u002\n1 spk000_u001 spk000_u002\n",
+                    "need both trial kinds, got 3 target / 0 non-target"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TRIALS))
+def test_sweep_bad_trials_build_nothing(corpus, model_file, tmp_path, capsys, monkeypatch, case):
+    # the trial list is checked against the manifest before any model loads
+    def no_load(path):
+        raise AssertionError("a model was loaded")
+
+    monkeypatch.setattr(padaug.cli, "load_model", no_load)
+    text, message = BAD_TRIALS[case]
+    (tmp_path / "trials.txt").write_text(text)
+    out = tmp_path / "s.tsv"
+    capsys.readouterr()
+    assert main(["sweep", "--manifest", str(corpus / "manifest.tsv"), "--trials", str(tmp_path / "trials.txt"),
+                 "--model", f"a={model_file}", "--out", str(out), "--seed", "1"]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+    assert not out.exists()
+    assert not (tmp_path / "s.tsv.work").exists()
+
+
 def trees_at_thread_counts(tmp_path, monkeypatch, argv_for):
     """Every output file's bytes, keyed by path, after running argv_for(out_dir)
     at PADAUG_THREADS=1 and =2."""
@@ -283,6 +347,22 @@ def model_file(tmp_path_factory):
     save_model(init_model(ToyModelConfig(n_speakers=2, hidden_dim=8, embed_dim=4,
                                          warmup_steps=1, total_steps=10, seed=0)), path)
     return path
+
+
+def test_build_testset_then_embed_reproduces_the_sweep(corpus, model_file, tmp_path):
+    # the step-by-step CLI path gives the k = 2 rows ratio_sweep yields, as float32
+    ts = tmp_path / "ratio2"
+    assert main(["build-testset", "--manifest", str(corpus / "manifest.tsv"), "--out", str(ts), "--variant", "ratio",
+                 "--k", "2", "--placement", "head-mid-tail-even", "--seed", "13"]) == 0
+    assert main(["embed", "--manifest", str(ts / "manifest.tsv"), "--model", str(model_file),
+                 "--out", str(tmp_path / "emb.bin")]) == 0
+    dump = read_feature_dump(tmp_path / "emb.bin")
+    records = read_manifest(corpus / "manifest.tsv")
+    sweep = ratio_sweep(records, [load_model(model_file)], tmp_path / "work", 13, "head-mid-tail-even")
+    emb = next(embs[0] for k, embs in sweep if k == 2)
+    assert list(dump) == [rec.utt_id for rec in records]
+    for rec, row in zip(records, emb, strict=True):
+        assert np.array_equal(dump[rec.utt_id].values, row.astype(np.float32)[None, :])  # the dump stores float32
 
 
 # Every subcommand besides sweep (tested above) that runs records through

@@ -3,8 +3,8 @@
 No stale imports: every name a module imports is used in that module
 (`__init__.py` is skipped, since its imports are the package's
 re-exports). One publish path: only manifest.staged creates directories
-or moves files into place. One evaluation front end, and each CLI option
-shared by two subcommands defined once."""
+or moves files into place. One evaluation front end, one DET curve, and
+each CLI option shared by two subcommands defined once."""
 
 import ast
 from pathlib import Path
@@ -59,6 +59,18 @@ def test_one_evaluation_front_end():
     embed = next(n for n in model.body if isinstance(n, ast.FunctionDef) and n.name == "embed_utterance")
     assert hits
     assert [(name, embed.lineno <= n <= embed.end_lineno) for name, n in hits] == [("model.py", True)] * len(hits)
+
+
+
+def test_one_det_curve():
+    """Only det_metrics sorts scores into thresholds and rates; testset
+    embeds and leaves scoring to its caller."""
+    metrics = ast.parse((SRC / "metrics.py").read_text(encoding="utf-8"))
+    det = next(n for n in metrics.body if isinstance(n, ast.FunctionDef) and n.name == "det_metrics")
+    curve = [n.lineno for n in ast.walk(metrics) if isinstance(n, ast.Attribute) and n.attr in ("searchsorted", "unique")]
+    assert curve and all(det.lineno <= n <= det.end_lineno for n in curve)
+    testset = ast.parse((SRC / "testset.py").read_text(encoding="utf-8"))
+    assert [n.module for n in ast.walk(testset) if isinstance(n, ast.ImportFrom) and n.module == "metrics"] == []
 
 
 SHARED_OPTIONS = ("--t-min", "--t-max", "--snr-min", "--snr-max", "--placement", "--snr-db", "--zero-pad")

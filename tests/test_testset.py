@@ -12,7 +12,6 @@ from padaug.augment import PaddingLayout, assemble, wgn_like
 from padaug.errors import DimMismatchError, EmptyInputError, InvalidConfigError, InvalidRatioError, LengthMismatchError
 from padaug.features import N_MELS, cmn, fbank
 from padaug.manifest import UtteranceRecord, map_records, read_manifest
-from padaug.metrics import det_metrics, score_trials
 from padaug.model import ToyModelConfig, forward, init_model
 from padaug.seeding import make_rng, randint
 from padaug.synth import build_corpus
@@ -250,7 +249,7 @@ def test_ratio_builds_share_chunk_across_ks():
     assert np.array_equal(padded.samples[l_head : l_head + 3 * SR], base.samples)
 
 
-def ratio_sweep_ref(records, trials, models, work_dir, seed, placement="head-tail-even", snr_db=TEST_SNR_DB, p_target=0.01):
+def ratio_sweep_ref(records, models, work_dir, seed, placement="head-tail-even", snr_db=TEST_SNR_DB):
     """ratio_sweep as two pool passes per k: write the padded set, then
     read every padded WAV back for its features, then embed on the calling
     thread; kept as the oracle for the one-pass sweep."""
@@ -258,31 +257,30 @@ def ratio_sweep_ref(records, trials, models, work_dir, seed, placement="head-tai
     for k in range(MAX_RATIO_SECONDS + 1):
         padded = build_testset(records, work_dir / f"ratio{k}", seed, k, placement, snr_db)
         feats = map_records(padded, lambda rec, w, rng: cmn(fbank(w)))
-        rows = []
-        for name, model in models:
-            store = {rec.utt_id: forward(model, f) for rec, f in zip(padded, feats)}
-            rows.append((name, det_metrics(score_trials(trials, store), trials.is_target, p_target=p_target)))
-        yield k, rows
+        yield k, [np.stack([forward(model, f) for f in feats]) for model in models]
 
 
 @pytest.fixture(scope="module")
 def sweep_inputs(tmp_path_factory):
     """Nine utterances of three speakers, 1.4-1.9 s long so that each is
-    loop-padded to the 3 s chunk, and two untrained models."""
-    records, trials = build_corpus(3, 3, 1.6, tmp_path_factory.mktemp("corpus"), seed=5)
-    models = [(f"m{i}", init_model(ToyModelConfig(n_speakers=3, hidden_dim=16, embed_dim=8, seed=i))) for i in (1, 2)]
-    return records, trials, models
+    loop-padded to the 3 s chunk, and two untrained models of different
+    embedding sizes."""
+    records, _ = build_corpus(3, 3, 1.6, tmp_path_factory.mktemp("corpus"), seed=5)
+    models = [init_model(ToyModelConfig(n_speakers=3, hidden_dim=16, embed_dim=dim, seed=i)) for i, dim in ((1, 8), (2, 5))]
+    return records, models
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("placement, snr_db", [(p, TEST_SNR_DB) for p in PLACEMENTS] + [("head-tail-even", None)])
 def test_ratio_sweep_matches_two_pass_oracle(sweep_inputs, tmp_path, monkeypatch, threads, placement, snr_db):
     monkeypatch.setenv("PADAUG_THREADS", threads)
-    records, trials, models = sweep_inputs
-    got = list(ratio_sweep(records, trials, models, tmp_path / "new", 11, placement, snr_db))
-    want = list(ratio_sweep_ref(records, trials, models, tmp_path / "ref", 11, placement, snr_db))
-    assert [k for k, _ in got] == list(range(MAX_RATIO_SECONDS + 1))
-    assert got == want
+    records, models = sweep_inputs
+    got = list(ratio_sweep(records, models, tmp_path / "new", 11, placement, snr_db))
+    want = list(ratio_sweep_ref(records, models, tmp_path / "ref", 11, placement, snr_db))
+    assert [k for k, _ in got] == [k for k, _ in want] == list(range(MAX_RATIO_SECONDS + 1))
+    for (_, embs), (_, ref) in zip(got, want):
+        assert [e.shape for e in embs] == [(len(records), m.embed_dim) for m in models]
+        assert all(e.dtype == np.float64 and np.array_equal(e, r) for e, r in zip(embs, ref, strict=True))
     assert tree(tmp_path / "new") == tree(tmp_path / "ref")
 
 
@@ -293,20 +291,20 @@ def tree(root):
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_ratio_sweep_reads_each_input_once_per_k(sweep_inputs, tmp_path, monkeypatch, threads):
     monkeypatch.setenv("PADAUG_THREADS", threads)
-    records, trials, models = sweep_inputs
+    records, models = sweep_inputs
     reads = []
     real_read_wav = padaug.manifest.read_wav
     monkeypatch.setattr(padaug.manifest, "read_wav", lambda path: (reads.append(Path(path)), real_read_wav(path))[1])
-    for _ in ratio_sweep(records, trials, models, tmp_path / "work", 11):
+    for _ in ratio_sweep(records, models, tmp_path / "work", 11):
         pass
     assert Counter(reads) == {Path(r.wav_path): MAX_RATIO_SECONDS + 1 for r in records}
     assert not any(p.is_relative_to(tmp_path / "work") for p in reads)
 
 
 def test_ratio_sweep_failure_leaves_no_directory(sweep_inputs, tmp_path):
-    records, trials, models = sweep_inputs
+    records, models = sweep_inputs
     wrong = init_model(ToyModelConfig(n_speakers=3, input_dim=N_MELS + 1, hidden_dim=16, embed_dim=8))
-    sweep = ratio_sweep(records, trials, [*models, ("wrong", wrong)], tmp_path / "work", 11)
+    sweep = ratio_sweep(records, [*models, wrong], tmp_path / "work", 11)
     with pytest.raises(DimMismatchError, match=f"^utterance {records[0].utt_id}: "):
         next(sweep)
     assert not (tmp_path / "work").exists()
