@@ -13,7 +13,7 @@ from .augment import (
 )
 from .errors import PadAugError
 from .features import FeatureMatrix, cmn, fbank
-from .metrics import DetMetrics, Trials, det_metrics, eer, min_dcf, score_trials
+from .metrics import DetMetrics, Trials, det_metrics, score_trials
 from .model import ToyModel, ToyModelConfig, forward, train
 from .synth import build_corpus, make_speaker, synth_utterance
 from .testset import build_testset, ratio_sweep
@@ -40,11 +40,9 @@ __all__ = [
     "det_metrics",
     "detect",
     "drop_silence",
-    "eer",
     "fbank",
     "forward",
     "make_speaker",
-    "min_dcf",
     "pad_aug_utterance",
     "ratio_sweep",
     "read_wav",

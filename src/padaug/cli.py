@@ -19,14 +19,14 @@ import sys
 from pathlib import Path
 
 from .augment import PadAugConfig, pad_aug_utterance
-from .errors import InvalidConfigError, PadAugError, read_text
+from .errors import DimMismatchError, InvalidConfigError, PadAugError, read_text
 from .features import FeatureMatrix, cmn, fbank, read_feature_dump, write_feature_dump
 from .manifest import map_records, map_wavs, read_manifest, staged
 from .metrics import (check_costs, check_ids, check_kinds, det_metrics, format_report, read_scores, read_trials,
                       score_trials, write_scores)
 from .model import ToyModelConfig, embed_utterance, load_model, load_training_set, save_model, train
 from .synth import build_corpus
-from .testset import CHUNK_SECONDS, NAMED_VARIANTS, PLACEMENTS, TEST_SNR_DB, VARIANT_KINDS, build_testset, ratio_sweep
+from .testset import CHUNK_SECONDS, PLACEMENTS, TEST_SNR_DB, build_testset, ratio_sweep
 from .vad import VadConfig, detect, drop_silence, write_mask_dump
 from .workers import worker_count
 
@@ -114,17 +114,9 @@ def _cmd_augment(args) -> int:
 
 
 def _cmd_build_testset(args) -> int:
-    if args.k != 0 and args.variant != "ratio":
-        raise InvalidConfigError(f"--k applies to --variant ratio only, got --k {args.k} with --variant {args.variant}")
-    records = read_manifest(args.manifest)
-    if args.variant == "original":
-        new_records = map_wavs(records, args.out, lambda rec, w, rng: w)
-    else:
-        k, placement = NAMED_VARIANTS.get(args.variant, (args.k, args.placement))
-        snr = None if args.zero_pad else args.snr_db
-        new_records = build_testset(records, args.out, args.seed, k, placement, snr)
-    tag = f"ratio{args.k}" if args.variant == "ratio" else args.variant
-    print(f"built {tag} with {len(new_records)} utterances under {args.out}")
+    snr = None if args.zero_pad else args.snr_db
+    new_records = build_testset(read_manifest(args.manifest), args.out, args.seed, args.k, args.placement, snr)
+    print(f"built ratio{args.k} with {len(new_records)} utterances under {args.out}")
     return 0
 
 
@@ -213,7 +205,11 @@ def _cmd_embed(args) -> int:
 
 def _cmd_score(args) -> int:
     trials = read_trials(args.trials)
-    store = {utt: mat.values[0] for utt, mat in read_feature_dump(args.embeddings).items()}
+    store = {}
+    for utt, mat in read_feature_dump(args.embeddings).items():
+        if mat.frames != 1:
+            raise DimMismatchError(f"{args.embeddings}: {utt!r} has {mat.frames} rows, an embedding has one")
+        store[utt] = mat.values[0]
     write_scores(trials, score_trials(trials, store), args.out)
     print(f"scored {len(trials)} trials to {args.out}")
     return 0
@@ -290,8 +286,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     test_pad = argparse.ArgumentParser(add_help=False)  # build-testset and sweep
     test_pad.add_argument("--placement", choices=PLACEMENTS, default="head-tail-even")
-    test_pad.add_argument("--snr-db", type=_finite_float, default=TEST_SNR_DB)
-    test_pad.add_argument("--zero-pad", action="store_true", help="pad with digital zeros instead of noise")
+    noise = test_pad.add_mutually_exclusive_group()
+    noise.add_argument("--snr-db", type=_finite_float, default=TEST_SNR_DB)
+    noise.add_argument("--zero-pad", action="store_true", help="pad with digital zeros instead of noise")
 
     p = add("synth", _cmd_synth, "generate a synthetic multi-speaker corpus")
     p.add_argument("--out", required=True)
@@ -306,11 +303,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("ht", "hmt"), default="ht")
     p.add_argument("--seed", type=int, required=True)
 
-    p = add("build-testset", _cmd_build_testset, "materialize an evaluation variant", test_pad)
+    p = add("build-testset", _cmd_build_testset, "pad a 3 s chunk of every utterance by k seconds", test_pad)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--variant", choices=VARIANT_KINDS, required=True, help="a named variant fixes both k and placement")
-    p.add_argument("--k", type=int, default=0, help="padding seconds, for the ratio variant only")
+    p.add_argument("--k", type=int, default=0, help="padding seconds, 0 to 8")
     p.add_argument("--seed", type=int, required=True)
 
     p = add("featurize", _cmd_featurize, "extract log-Mel features to a binary dump")

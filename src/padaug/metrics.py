@@ -105,19 +105,6 @@ def det_metrics(scores, is_target, p_target: float = 0.01, c_miss: float = 1.0, 
     return DetMetrics(eer=float(e), eer_threshold=float(e_thr), min_dcf=float(dcf[j] / norm), dcf_threshold=float(thr[j]))
 
 
-def eer(scores, is_target) -> tuple:
-    """(eer, threshold) at the interpolated FRR/FAR crossing."""
-    m = det_metrics(scores, is_target)
-    return m.eer, m.eer_threshold
-
-
-def min_dcf(scores, is_target, p_target: float = 0.01, c_miss: float = 1.0, c_fa: float = 1.0) -> tuple:
-    """(normalized minDCF, threshold) over the observed thresholds."""
-    check_costs(p_target, c_miss, c_fa)
-    m = det_metrics(scores, is_target, p_target, c_miss, c_fa)
-    return m.min_dcf, m.dcf_threshold
-
-
 def score_trials(trials: Trials, store) -> np.ndarray:
     """Cosine score per trial against an utt_id -> embedding mapping.
 

@@ -122,15 +122,6 @@ def _floored_sd(var: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(var, VAR_FLOOR))
 
 
-def tsp_pool(h: np.ndarray) -> np.ndarray:
-    """Mean and population std over time, std floored at sqrt(VAR_FLOOR)."""
-    h = np.array(h, dtype=np.float64)  # a copy, which _center overwrites
-    if h.ndim != 2 or h.shape[0] < 2:
-        raise TooFewFramesError(f"pooling needs >= 2 frames, got shape {h.shape}")
-    mu, var = _center(h)
-    return np.concatenate([mu, _floored_sd(var)])
-
-
 def _matvecs(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """a @ v[i] for every row of v, one BLAS gemv per row, so each row
     rounds as the one-vector product does (one GEMM over the batch does not)."""
@@ -260,11 +251,6 @@ def batch_loss_and_grads(m: ToyModel, feats, labels, margin: float, s: float):
         "b2": np.add.reduce(dz, axis=0, initial=0.0),
         "head": d_head,
     }
-
-
-def loss_and_grads(m: ToyModel, f: FeatureMatrix, label: int, margin: float, s: float):
-    """Loss plus gradients for every parameter group, one utterance."""
-    return batch_loss_and_grads(m, [f], [label], margin, s)
 
 
 def schedule(step: int, cfg: ToyModelConfig):

@@ -3,10 +3,9 @@
 A padded test set is a random 3 s chunk of every utterance padded with
 k in [0, 8] extra seconds by build_ratio, under one of three placements
 (head-tail, random head/tail split, or head-mid-tail), so its spec is the
-pair (k_seconds, placement). The named variants are aliases: chunk3s is
-k=0, chunk3s-ht is 1 s at head and tail (k=2), chunk3s-hmt is 1 s at
-head, mid and tail (k=3). ratio_sweep builds every k and embeds every
-padded utterance with each model in the pass that writes it; scoring the
+pair (k_seconds, placement): k=0 is the bare chunk, k=2 head-tail-even 1 s
+at head and tail. ratio_sweep builds every k and embeds every padded
+utterance with each model in the pass that writes it; scoring the
 embeddings is the caller's.
 Padding "silence" is white Gaussian noise at a fixed SNR (default 25 dB)
 so the padded regions resemble a quiet recording floor; digital zeros are
@@ -15,7 +14,7 @@ available by passing snr_db=None.
 Per-utterance randomness is derived from (seed, utt_id), never from
 manifest position, so rebuilding a subset or reordering the manifest
 reproduces identical files. Draw order per utterance is pinned: chunk
-offset, then mid split point, then noise, so variants that share a seed
+offset, then mid split point, then noise, so test sets that share a seed
 also share the underlying chunk.
 """
 
@@ -33,14 +32,6 @@ from .seeding import Rng, randint
 CHUNK_SECONDS = 3.0
 TEST_SNR_DB = 25.0
 MAX_RATIO_SECONDS = 8
-
-# Named variants as (k_seconds, placement) of build_ratio.
-NAMED_VARIANTS = {
-    "chunk3s": (0, "head-tail-even"),
-    "chunk3s-ht": (2, "head-tail-even"),
-    "chunk3s-hmt": (3, "head-mid-tail-even"),
-}
-VARIANT_KINDS = ("original", *NAMED_VARIANTS, "ratio")
 PLACEMENTS = ("head-tail-even", "per-layout", "head-mid-tail-even")
 
 
@@ -114,7 +105,7 @@ def build_testset(
 
 
 def ratio_sweep(records, models, work_dir, seed, placement="head-tail-even", snr_db=TEST_SNR_DB):
-    """Embed the ratio variant with every model for k = 0..MAX_RATIO_SECONDS.
+    """Embed the padded test set with every model for k = 0..MAX_RATIO_SECONDS.
 
     Each k is one build_testset pass that writes work_dir/ratio<k> and, in
     the same worker, embeds each padded utterance from memory as written

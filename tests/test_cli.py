@@ -14,7 +14,7 @@ import padaug.features
 import padaug.model
 from padaug.audio_io import Waveform, read_wav, write_wav
 from padaug.cli import main
-from padaug.features import read_feature_dump
+from padaug.features import FeatureMatrix, read_feature_dump, write_feature_dump
 from padaug.manifest import UtteranceRecord, read_manifest, write_manifest
 from padaug.metrics import Trials, write_scores, write_trials
 from padaug.model import ToyModelConfig, init_model, load_model, save_model
@@ -41,11 +41,11 @@ def test_synth_cmd(corpus, capsys):
 
 def test_resolved_config_echoed(corpus, tmp_path, capsys):
     rc = main(["build-testset", "--manifest", str(corpus / "manifest.tsv"),
-               "--out", str(tmp_path / "t"), "--variant", "original", "--seed", "1"])
+               "--out", str(tmp_path / "t"), "--k", "2", "--seed", "1"])
     assert rc == 0
     err = capsys.readouterr().err
     assert "resolved-config:" in err
-    assert "variant=original" in err
+    assert " k=2 " in err
 
 
 def test_augment_cmd(corpus, tmp_path):
@@ -66,38 +66,27 @@ def test_augment_cmd(corpus, tmp_path):
 
 def test_build_testset_cmd(corpus, tmp_path):
     rc = main(["build-testset", "--manifest", str(corpus / "manifest.tsv"),
-               "--out", str(tmp_path / "c3"), "--variant", "chunk3s", "--seed", "2"])
+               "--out", str(tmp_path / "c3"), "--seed", "2"])
     assert rc == 0
     for r in read_manifest(tmp_path / "c3" / "manifest.tsv"):
         assert r.num_samples == 48000
 
     rc = main(["build-testset", "--manifest", str(corpus / "manifest.tsv"),
-               "--out", str(tmp_path / "ht"), "--variant", "chunk3s-ht", "--seed", "2"])
+               "--out", str(tmp_path / "ht"), "--k", "2", "--seed", "2"])
     assert rc == 0
     for r in read_manifest(tmp_path / "ht" / "manifest.tsv"):
         assert r.num_samples == 80000
 
-    # chunk3s-hmt is an alias of ratio k=3 under head-mid-tail-even
-    for out, variant in (("hmt", ["chunk3s-hmt"]), ("r3", ["ratio", "--k", "3", "--placement", "head-mid-tail-even"])):
-        rc = main(["build-testset", "--manifest", str(corpus / "manifest.tsv"),
-                   "--out", str(tmp_path / out), "--seed", "2", "--variant"] + variant)
-        assert rc == 0
-    for r in read_manifest(tmp_path / "hmt" / "manifest.tsv"):
+    rc = main(["build-testset", "--manifest", str(corpus / "manifest.tsv"),
+               "--out", str(tmp_path / "r3"), "--k", "3", "--placement", "head-mid-tail-even", "--seed", "2"])
+    assert rc == 0
+    for r in read_manifest(tmp_path / "r3" / "manifest.tsv"):
         assert r.num_samples == 96000
-        assert (tmp_path / "r3" / f"{r.utt_id}.wav").read_bytes() == (tmp_path / "hmt" / f"{r.utt_id}.wav").read_bytes()
-
-
-def test_build_testset_original_copies(corpus, tmp_path):
-    out = tmp_path / "orig"
-    assert main(["build-testset", "--manifest", str(corpus / "manifest.tsv"),
-                 "--out", str(out), "--variant", "original", "--seed", "0"]) == 0
-    for src, dst in zip(read_manifest(corpus / "manifest.tsv"), read_manifest(out / "manifest.tsv")):
-        assert open(src.wav_path, "rb").read() == open(dst.wav_path, "rb").read()
 
 
 def test_build_testset_zero_pad(corpus, tmp_path):
     rc = main(["build-testset", "--manifest", str(corpus / "manifest.tsv"),
-               "--out", str(tmp_path / "z"), "--variant", "ratio", "--k", "1",
+               "--out", str(tmp_path / "z"), "--k", "1",
                "--zero-pad", "--seed", "3"])
     assert rc == 0
     for r in read_manifest(tmp_path / "z" / "manifest.tsv"):
@@ -107,16 +96,26 @@ def test_build_testset_zero_pad(corpus, tmp_path):
         assert np.all(w.samples[-8000:] == 0.0)
 
 
-@pytest.mark.parametrize("variant", ["original", "chunk3s", "chunk3s-ht", "chunk3s-hmt"])
-def test_build_testset_k_needs_ratio_variant(corpus, tmp_path, capsys, variant):
-    # a named variant fixes k and placement: --k with it is an error, not a no-op
-    out = tmp_path / "ts"
+EXCLUSIVE_NOISE = {
+    "build-testset": "build-testset --manifest {m} --out {out} --k 2 --zero-pad --snr-db 5 --seed 3",
+    "build-testset-config": "build-testset --config {cfg} --manifest {m} --out {out} --k 2 --snr-db 5 --seed 3",
+    "sweep": "sweep --manifest {m} --trials {t} --model a={model} --out {out} --snr-db 5 --zero-pad --seed 3",
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXCLUSIVE_NOISE))
+def test_snr_db_and_zero_pad_are_exclusive(corpus, model_file, tmp_path, capsys, case):
+    # zero padding has no SNR: giving both, one of them from --config, is a usage error
+    cfg = tmp_path / "ts.cfg"
+    cfg.write_text("zero_pad=true\n")
+    out = tmp_path / "out"
     capsys.readouterr()
-    assert main(["build-testset", "--manifest", str(corpus / "manifest.tsv"), "--out", str(out),
-                 "--variant", variant, "--k", "5", "--placement", "head-mid-tail-even", "--seed", "1"]) == 1
-    assert capsys.readouterr().err.splitlines()[-1] == (
-        f"error: --k applies to --variant ratio only, got --k 5 with --variant {variant}")
-    assert not out.exists()
+    with pytest.raises(SystemExit) as exc:
+        main(EXCLUSIVE_NOISE[case].format(m=corpus / "manifest.tsv", t=corpus / "trials.txt", model=model_file,
+                                          out=out, cfg=cfg).split())
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [cfg]
 
 
 def test_featurize_train_embed_score_eval(corpus, tmp_path, capsys):
@@ -197,6 +196,30 @@ def test_score_accepts_target_only_trials(corpus, model_file, tmp_path):
     assert main(["score", "--trials", str(tmp_path / "trials.txt"), "--embeddings", str(emb),
                  "--out", str(tmp_path / "scores.txt")]) == 0
     assert len((tmp_path / "scores.txt").read_text().splitlines()) == 2
+
+
+def test_score_rejects_a_feature_dump(corpus, tmp_path, capsys):
+    # a featurize dump has one row per frame, not one embedding per utterance
+    feats = tmp_path / "feats.bin"
+    assert main(["featurize", "--manifest", str(corpus / "manifest.tsv"), "--out", str(feats)]) == 0
+    utt, mat = next(iter(read_feature_dump(feats).items()))
+    capsys.readouterr()
+    assert main(["score", "--trials", str(corpus / "trials.txt"), "--embeddings", str(feats),
+                 "--out", str(tmp_path / "scores.txt")]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: {feats}: {utt!r} has {mat.frames} rows, an embedding has one")
+    assert not (tmp_path / "scores.txt").exists()
+
+
+def test_score_rejects_an_empty_dump_entry(tmp_path, capsys):
+    emb = tmp_path / "emb.bin"
+    write_feature_dump(emb, [("a", FeatureMatrix(np.ones((1, 3)))), ("b", FeatureMatrix(np.zeros((0, 3))))])
+    write_trials(Trials(("a",), ("b",), (False,)), tmp_path / "trials.txt")
+    capsys.readouterr()
+    assert main(["score", "--trials", str(tmp_path / "trials.txt"), "--embeddings", str(emb),
+                 "--out", str(tmp_path / "scores.txt")]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {emb}: 'b' has 0 rows, an embedding has one"
+    assert not (tmp_path / "scores.txt").exists()
 
 
 def test_vad_cmd(tmp_path):
@@ -352,8 +375,8 @@ def model_file(tmp_path_factory):
 def test_build_testset_then_embed_reproduces_the_sweep(corpus, model_file, tmp_path):
     # the step-by-step CLI path gives the k = 2 rows ratio_sweep yields, as float32
     ts = tmp_path / "ratio2"
-    assert main(["build-testset", "--manifest", str(corpus / "manifest.tsv"), "--out", str(ts), "--variant", "ratio",
-                 "--k", "2", "--placement", "head-mid-tail-even", "--seed", "13"]) == 0
+    assert main(["build-testset", "--manifest", str(corpus / "manifest.tsv"), "--out", str(ts), "--k", "2",
+                 "--placement", "head-mid-tail-even", "--seed", "13"]) == 0
     assert main(["embed", "--manifest", str(ts / "manifest.tsv"), "--model", str(model_file),
                  "--out", str(tmp_path / "emb.bin")]) == 0
     dump = read_feature_dump(tmp_path / "emb.bin")
@@ -370,8 +393,8 @@ def test_build_testset_then_embed_reproduces_the_sweep(corpus, model_file, tmp_p
 # of files it writes.
 THREADED_ARGV = {
     "augment": ("--manifest {corpus}/manifest.tsv --out {out} --mode hmt --seed 5", 6 + 1),
-    "build-testset": ("--manifest {corpus}/manifest.tsv --out {out} --variant ratio --k 2 "
-                      "--placement per-layout --seed 3", 6 + 1),
+    "build-testset": ("--manifest {corpus}/manifest.tsv --out {out} --k 2 --placement per-layout "
+                      "--seed 3", 6 + 1),
     "embed": ("--manifest {corpus}/manifest.tsv --model {model} --out {out}/emb.bin", 2),
     "featurize": ("--manifest {corpus}/manifest.tsv --out {out}/feats.bin --cmn", 2),
     "synth": ("--out {out} --n-speakers 2 --n-utts 3 --duration 1.0 --seed 21", 6 + 2),
@@ -426,8 +449,7 @@ def test_escaping_utt_id_writes_nothing_outside_out(corpus, tmp_path):
     (tmp_path / "m.tsv").write_text(f"../../escaped\t{rec.speaker_id}\t{rec.wav_path}\t{rec.num_samples}\t16000\n")
     before = sorted(tmp_path.rglob("*"))
     out = tmp_path / "out" / "sub"
-    assert main(["build-testset", "--manifest", str(tmp_path / "m.tsv"), "--out", str(out),
-                 "--variant", "original", "--seed", "1"]) == 1
+    assert main(["build-testset", "--manifest", str(tmp_path / "m.tsv"), "--out", str(out), "--seed", "1"]) == 1
     assert [p for p in sorted(tmp_path.rglob("*")) if out not in (p, *p.parents)] == before
 
 
@@ -668,7 +690,7 @@ def test_config_negative_exponent_float(tmp_path, monkeypatch, capsys):
 
 def test_config_boolean_flag(tmp_path, corpus):
     cfg = tmp_path / "ts.cfg"
-    cfg.write_text("zero_pad=true\nvariant=ratio\nk=1\n")
+    cfg.write_text("zero_pad=true\nk=1\n")
     out = tmp_path / "z"
     assert main(["build-testset", "--config", str(cfg),
                  "--manifest", str(corpus / "manifest.tsv"),
@@ -703,7 +725,7 @@ def test_exit_codes(tmp_path, corpus):
     assert rc == 1  # 6 utterances, fewer than one batch
     assert not (tmp_path / "m.bin").exists()
     rc = main(["build-testset", "--manifest", str(corpus / "manifest.tsv"), "--out", str(tmp_path / "r9"),
-               "--variant", "ratio", "--k", "9", "--seed", "1"])
+               "--k", "9", "--seed", "1"])
     assert rc == 1  # k outside [0, 8]
     assert not (tmp_path / "r9").exists()
 
@@ -715,9 +737,9 @@ RESOLVED_DEFAULTS = {
               "augment=none batch_size=32 chunk_frames=300 command=train embed_dim=32 hidden_dim=64 log=None "
               "lr_final=5e-05 lr_init=0.1 manifest=m.tsv margin=0.2 margin_warm_steps=-1 out=o scale=32.0 seed=1 "
               "snr_max=30.0 snr_min=15.0 steps=1000 t_max=3.0 t_min=1.0 warmup_steps=100"),
-    "build-testset": (["--manifest", "m.tsv", "--out", "o", "--variant", "ratio", "--seed", "1"],
+    "build-testset": (["--manifest", "m.tsv", "--out", "o", "--seed", "1"],
                       "command=build-testset k=0 manifest=m.tsv out=o placement=head-tail-even "
-                      "seed=1 snr_db=25.0 variant=ratio zero_pad=False"),
+                      "seed=1 snr_db=25.0 zero_pad=False"),
     "featurize": (["--manifest", "m.tsv", "--out", "o"], "cmn=False command=featurize manifest=m.tsv out=o"),
     "sweep": (["--manifest", "m.tsv", "--trials", "t.txt", "--model", "a=a.bin", "--out", "o", "--seed", "1"],
               "command=sweep manifest=m.tsv model=['a=a.bin'] out=o p_target=0.01 placement=head-tail-even seed=1 "
@@ -735,10 +757,14 @@ def test_resolved_config_defaults_are_pinned(tmp_path, monkeypatch, capsys, comm
 
 
 # Flags that padaug does not have: each is a usage error, never a silent no-op.
+# A test set is named by --k and --placement alone, so --variant is one of them.
 REMOVED_FLAGS = {
     "featurize-n-mels": "featurize --manifest {m} --out {out} --n-mels 40",
     "featurize-dither": "featurize --manifest {m} --out {out} --dither 0.1 --seed 4",
-    "build-testset-from-start": "build-testset --manifest {m} --out {out} --variant chunk3s --seed 1 --from-start",
+    "build-testset-from-start": "build-testset --manifest {m} --out {out} --seed 1 --from-start",
+    **{f"build-testset-variant-{variant}": f"build-testset --manifest {{m}} --out {{out}} --variant {variant} --k 5 "
+                                           "--placement head-mid-tail-even --seed 1"
+       for variant in ("original", "chunk3s", "chunk3s-ht", "chunk3s-hmt", "ratio")},
 }
 
 

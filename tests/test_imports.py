@@ -4,7 +4,9 @@ No stale imports: every name a module imports is used in that module
 (`__init__.py` is skipped, since its imports are the package's
 re-exports). One publish path: only manifest.staged creates directories
 or moves files into place. One evaluation front end, one DET curve, and
-each CLI option shared by two subcommands defined once."""
+each CLI option shared by two subcommands defined once. No public
+function or class that only tests use, and the package exports exactly
+what `__init__.py` imports."""
 
 import ast
 from pathlib import Path
@@ -29,6 +31,25 @@ def test_every_import_is_used(module):
     tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(set(imported_names(tree)) - used) == []
+
+
+def test_every_public_name_is_used_in_src():
+    """Each public module-level function and class is loaded by name in a
+    src module other than __init__.py, so none exists for tests alone."""
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    loaded = {node.id for name, tree in trees.items() if name != "__init__.py" for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    public = [node.name for tree in trees.values() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")]
+    assert public
+    assert sorted(set(public) - loaded) == []
+
+
+def test_all_is_what_init_imports():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    exported = next(ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["__all__"])
+    assert sorted(exported) == sorted(imported_names(tree))
 
 
 def publish_calls(tree):

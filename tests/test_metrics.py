@@ -18,9 +18,7 @@ from padaug.metrics import (
     DetMetrics,
     Trials,
     det_metrics,
-    eer,
     format_report,
-    min_dcf,
     read_scores,
     read_trials,
     score_trials,
@@ -132,34 +130,27 @@ def test_score_trials_ignores_unused_zero_norm():
 
 
 def test_worked_example_two_by_two():
-    recs = mk([0.8, 0.4], [0.6, 0.2])
-    e, et = eer(*recs)
-    assert e == 0.5 and et == 0.6
-    d, dt = min_dcf(*recs)
-    assert d == 0.5 and dt == 0.8
+    m = det_metrics(*mk([0.8, 0.4], [0.6, 0.2]))
+    assert m.eer == 0.5 and m.eer_threshold == 0.6
+    assert m.min_dcf == 0.5 and m.dcf_threshold == 0.8
 
 
 def test_all_scores_equal():
-    e, _ = eer(*mk([0.3, 0.3], [0.3]))
-    assert e == 0.5
+    assert det_metrics(*mk([0.3, 0.3], [0.3])).eer == 0.5
 
 
 def test_fully_separated():
-    recs = mk([0.9, 0.8], [0.1, 0.2])
-    e, _ = eer(*recs)
-    d, _ = min_dcf(*recs)
-    assert e == 0.0 and d == 0.0
+    m = det_metrics(*mk([0.9, 0.8], [0.1, 0.2]))
+    assert m.eer == 0.0 and m.min_dcf == 0.0
 
 
 def test_fully_inverted():
-    e, _ = eer(*mk([0.1], [0.5, 0.9]))
-    assert e == 1.0
+    assert det_metrics(*mk([0.1], [0.5, 0.9])).eer == 1.0
 
 
 def test_interpolated_crossing():
     # FRR jumps 0 -> 2/3 while FAR drops 1/2 -> 0 at t=0.5: cross at 3/7
-    recs = mk([0.5, 0.6, 0.9], [0.2, 0.5])
-    e, _ = eer(*recs)
+    e = det_metrics(*mk([0.5, 0.6, 0.9], [0.2, 0.5])).eer
     oracle_e, _ = brute_force([0.5, 0.6, 0.9], [0.2, 0.5])
     assert abs(e - oracle_e) < 1e-15
     assert 0.0 < e < 0.5
@@ -181,9 +172,8 @@ def test_matches_brute_force_sweep():
             nons = np.round(nons, 1)
         p = [0.01, 0.05, 0.5][trial % 3]
         cm, cf = [(1.0, 1.0), (10.0, 1.0), (1.0, 4.0)][trial % 3]
-        recs = mk(targets, nons)
-        e, _ = eer(*recs)
-        d, _ = min_dcf(*recs, p_target=p, c_miss=cm, c_fa=cf)
+        m = det_metrics(*mk(targets, nons), p_target=p, c_miss=cm, c_fa=cf)
+        e, d = m.eer, m.min_dcf
         oe, od = brute_force(list(targets), list(nons), p, cm, cf)
         assert abs(e - oe) <= 1e-12
         assert d == od
@@ -210,18 +200,20 @@ grid_scores = st.lists(st.integers(-24, 24).map(lambda i: i / 8.0), min_size=1, 
 @given(targets=grid_scores, nons=grid_scores, p_target=st.sampled_from([0.01, 0.05, 0.5]))
 def test_metrics_invariant_under_increasing_transform(targets, nons, p_target):
     scores, is_target = mk(targets, nons)
-    base_eer, base_dcf = eer(scores, is_target)[0], min_dcf(scores, is_target, p_target=p_target)[0]
+    base = det_metrics(scores, is_target, p_target=p_target)
     for transform in (lambda x: 4.0 * x - 1.0, lambda x: x**3):
-        warped = transform(scores)
-        assert eer(warped, is_target)[0] == base_eer
-        assert min_dcf(warped, is_target, p_target=p_target)[0] == base_dcf
+        warped = det_metrics(transform(scores), is_target, p_target=p_target)
+        assert warped.eer == base.eer
+        assert warped.min_dcf == base.min_dcf
 
 
 def test_det_metrics_bundles_both():
+    # both operating points in one result; the EER point ignores the costs
     recs = mk([0.8, 0.4], [0.6, 0.2])
     m = det_metrics(*recs)
-    assert (m.eer, m.eer_threshold) == eer(*recs)
-    assert (m.min_dcf, m.dcf_threshold) == min_dcf(*recs)
+    assert m == DetMetrics(eer=0.5, eer_threshold=0.6, min_dcf=0.5, dcf_threshold=0.8)
+    costly = det_metrics(*recs, p_target=0.5, c_miss=10.0, c_fa=3.0)
+    assert (costly.eer, costly.eer_threshold) == (m.eer, m.eer_threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -230,25 +222,25 @@ def test_det_metrics_bundles_both():
 
 def test_degenerate_sets():
     with pytest.raises(DegenerateTrialSetError):
-        eer(*mk([0.5], []))
+        det_metrics(*mk([0.5], []))
     with pytest.raises(DegenerateTrialSetError):
-        min_dcf(*mk([], [0.5]))
+        det_metrics(*mk([], [0.5]))
     with pytest.raises(DimMismatchError):
-        eer(np.array([0.5, 0.4]), np.array([True]))
+        det_metrics(np.array([0.5, 0.4]), np.array([True]))
 
 
 def test_non_finite_scores():
     with pytest.raises(InvalidConfigError):
-        eer(*mk([np.nan], [0.5]))
+        det_metrics(*mk([np.nan], [0.5]))
     with pytest.raises(InvalidConfigError):
-        eer(*mk([0.5], [np.inf]))
+        det_metrics(*mk([0.5], [np.inf]))
 
 
 def test_min_dcf_parameter_validation():
     recs = mk([0.8], [0.2])
     for bad in ({"p_target": 0.0}, {"p_target": 1.0}, {"c_miss": 0.0}, {"c_fa": -1.0}):
         with pytest.raises(InvalidConfigError):
-            min_dcf(*recs, **bad)
+            det_metrics(*recs, **bad)
 
 
 # ---------------------------------------------------------------------------

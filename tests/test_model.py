@@ -22,17 +22,16 @@ from padaug.model import (
     ToyModel,
     ToyModelConfig,
     TrainingSet,
+    _forward,
     aam_loss,
     batch_loss_and_grads,
     embed_utterance,
     forward,
     init_model,
     load_model,
-    loss_and_grads,
     save_model,
     schedule,
     train,
-    tsp_pool,
 )
 from padaug.seeding import make_rng
 from padaug.synth import make_speaker, synth_utterance
@@ -186,30 +185,46 @@ def test_labels_outside_range_rejected():
         with pytest.raises(InvalidLabelError):
             batch_loss_and_grads(m, feats, [0, bad], 0.2, 32.0)
         with pytest.raises(InvalidLabelError):
-            loss_and_grads(m, feats[0], bad, 0.2, 32.0)
+            batch_loss_and_grads(m, feats[:1], [bad], 0.2, 32.0)
 
 
 # ---------------------------------------------------------------------------
 # pooling
 
 
+SHIFT = 10.0  # b1 of pooling_model, above every |x| the pooling tests feed
+
+
+def pooling_model(dims):
+    """w1 = I and b1 = SHIFT: ReLU passes every frame, so _forward pools x + SHIFT."""
+    return ToyModel(w1=np.eye(dims), b1=np.full(dims, SHIFT), w2=np.zeros((2, 2 * dims)),
+                    b2=np.ones(2), head=np.ones((2, 2)))
+
+
+def pool(x):
+    """_forward's pooled [mean, sd] of one utterance's frames x."""
+    return _forward(pooling_model(x.shape[1]), [FeatureMatrix(x)])[0][0]
+
+
 def test_tsp_constant_rows():
     h = np.tile([1.0, -2.0, 3.0], (10, 1))
-    pooled = tsp_pool(h)
-    assert np.allclose(pooled[:3], [1.0, -2.0, 3.0])
+    pooled = pool(h)
+    assert np.allclose(pooled[:3], np.array([1.0, -2.0, 3.0]) + SHIFT)
     assert np.allclose(pooled[3:], 1e-5)  # floored std
 
 
 def test_tsp_two_frame_closed_form():
     v = np.array([0.5, -1.5, 2.0])
-    pooled = tsp_pool(np.stack([v, -v]))
-    assert np.allclose(pooled[:3], 0.0)
+    pooled = pool(np.stack([v, -v]))
+    assert np.allclose(pooled[:3], SHIFT)
     assert np.allclose(pooled[3:], np.abs(v))
 
 
 def test_tsp_matches_two_pass_oracle():
-    h = make_rng(0).standard_normal((300, 64))
-    pooled = tsp_pool(h)
+    x = make_rng(0).standard_normal((300, 64))
+    assert np.abs(x).max() < SHIFT
+    pooled = pool(x)
+    h = x + SHIFT
     mean = np.array([sum(h[:, j]) / 300 for j in range(64)])
     std = np.array([np.sqrt(sum((h[:, j] - mean[j]) ** 2) / 300) for j in range(64)])
     assert np.abs(pooled[:64] - mean).max() < 1e-9
@@ -217,8 +232,9 @@ def test_tsp_matches_two_pass_oracle():
 
 
 def test_tsp_needs_two_frames():
-    with pytest.raises(TooFewFramesError):
-        tsp_pool(np.zeros((1, 4)))
+    for frames in (0, 1):
+        with pytest.raises(TooFewFramesError):
+            pool(np.zeros((frames, 4)))
     with pytest.raises(TooFewFramesError):
         forward(init_model(small_cfg(0)), FeatureMatrix(np.zeros((1, 6))))
 
@@ -307,7 +323,7 @@ def test_gradients_match_finite_differences():
                                (9, batch, [2, 1, 3])):
         m = init_model(small_cfg(seed))
         if isinstance(feats, FeatureMatrix):
-            loss, g = loss_and_grads(m, feats, label, 0.2, 32.0)
+            loss, g = batch_loss_and_grads(m, [feats], [label], 0.2, 32.0)
         else:
             loss, g = batch_loss_and_grads(m, feats, label, 0.2, 32.0)
             loss /= len(feats)
@@ -325,7 +341,7 @@ def test_gradients_with_saturated_softmax():
     cfg = small_cfg(3)
     m = init_model(cfg)
     feats = FeatureMatrix(make_rng(11).standard_normal((7, 6)))
-    _, g = loss_and_grads(m, feats, 2, 0.15, 32.0)
+    _, g = batch_loss_and_grads(m, [feats], [2], 0.15, 32.0)
     num = numeric_gradients(m, feats, 2, 0.15, 32.0)
     for name in g:
         denom = max(np.linalg.norm(g[name]), 1e-12)

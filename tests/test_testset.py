@@ -17,10 +17,8 @@ from padaug.seeding import make_rng, randint
 from padaug.synth import build_corpus
 from padaug.testset import (
     MAX_RATIO_SECONDS,
-    NAMED_VARIANTS,
     PLACEMENTS,
     TEST_SNR_DB,
-    VARIANT_KINDS,
     build_chunk3s,
     build_ratio,
     build_testset,
@@ -62,7 +60,7 @@ def test_chunk3s_deterministic_and_rejects_empty():
 
 def pad_fixed_ref(w3s, head_s, tail_s, mid_s, snr_db, rng):
     """Fixed-duration head/tail(/mid) padding, the builder build_ratio
-    replaced; kept as the oracle for the named variants."""
+    replaced; kept as the oracle for k=2 and k=3."""
     if min(head_s, tail_s, mid_s) < 0:
         raise InvalidConfigError("negative padding duration")
     sr = w3s.sample_rate_hz
@@ -85,8 +83,8 @@ def pad_fixed_ref(w3s, head_s, tail_s, mid_s, snr_db, rng):
 @pytest.mark.parametrize("snr_db", [25.0, None])
 @pytest.mark.parametrize("seed", range(4))
 def test_build_ratio_matches_fixed_padding_oracle(seed, snr_db, from_start):
-    # chunk3s-ht is k=2 head-tail-even and chunk3s-hmt is k=3
-    # head-mid-tail-even, drawing from the chunk's rng in the same order.
+    # 1 s at head and tail is k=2 head-tail-even, and 1 s at head, mid and
+    # tail is k=3 head-mid-tail-even, drawing from the chunk's rng in the same order.
     # from_start pads x's first 3 s with a fresh rng; build_chunk3s instead
     # draws a chunk offset, which leaves half a 64-bit word buffered that
     # the split point consumes without advancing the noise stream.
@@ -186,15 +184,13 @@ def test_build_ratio_rejects_bad_k():
 
 
 def test_variant_validation():
-    assert "bogus" not in VARIANT_KINDS
     with pytest.raises(InvalidConfigError):
         check_ratio(2, "sideways")
     with pytest.raises(InvalidRatioError):
         check_ratio(MAX_RATIO_SECONDS + 1, "head-tail-even")
-    for name, (k, placement) in NAMED_VARIANTS.items():
-        assert name in VARIANT_KINDS
-        check_ratio(k, placement)
-    assert NAMED_VARIANTS["chunk3s"] == (0, "head-tail-even")
+    for k in range(MAX_RATIO_SECONDS + 1):
+        for placement in PLACEMENTS:
+            check_ratio(k, placement)
 
 
 def _write_corpus(tmp_path, n=4):
