@@ -17,7 +17,7 @@ from .metrics import DetMetrics, Trials, det_metrics, score_trials
 from .model import ToyModel, ToyModelConfig, forward, train
 from .synth import build_corpus, make_speaker, synth_utterance
 from .testset import build_testset, ratio_sweep
-from .vad import SpeechMask, VadConfig, detect, drop_silence
+from .vad import VadConfig, detect, drop_silence
 
 __version__ = "0.1.0"
 
@@ -28,7 +28,6 @@ __all__ = [
     "PadAugConfig",
     "PadAugError",
     "PaddingLayout",
-    "SpeechMask",
     "ToyModel",
     "ToyModelConfig",
     "Trials",

@@ -143,8 +143,8 @@ def _cmd_vad(args) -> int:
     masks = {}
 
     def one(rec, w, rng):
-        mask = masks[rec.utt_id] = detect(w, cfg)
-        return drop_silence(w, mask)
+        flags = masks[rec.utt_id] = detect(w, cfg)
+        return drop_silence(w, flags)
 
     map_wavs(records, args.out, one)
     if args.mask_out:
@@ -281,8 +281,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pad_aug = argparse.ArgumentParser(add_help=False)  # augment and train
     pad_aug.add_argument("--t-min", type=_finite_float, default=1.0, help="minimum chunk seconds")
     pad_aug.add_argument("--t-max", type=_finite_float, default=3.0, help="output length in seconds")
-    pad_aug.add_argument("--snr-min", type=_finite_float, default=15.0)
-    pad_aug.add_argument("--snr-max", type=_finite_float, default=30.0)
+    pad_aug.add_argument("--snr-min", type=_finite_float, default=PadAugConfig.snr_min_db)
+    pad_aug.add_argument("--snr-max", type=_finite_float, default=PadAugConfig.snr_max_db)
 
     test_pad = argparse.ArgumentParser(add_help=False)  # build-testset and sweep
     test_pad.add_argument("--placement", choices=PLACEMENTS, default="head-tail-even")
@@ -318,26 +318,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--mask-out", default=None)
-    p.add_argument("--offset-db", type=_finite_float, default=9.0)
-    p.add_argument("--hang-before", type=int, default=10)
-    p.add_argument("--hang-over", type=int, default=20)
-    p.add_argument("--floor-percentile", type=_finite_float, default=0.1)
+    p.add_argument("--offset-db", type=_finite_float, default=VadConfig.energy_offset_db)
+    p.add_argument("--hang-before", type=int, default=VadConfig.hang_before)
+    p.add_argument("--hang-over", type=int, default=VadConfig.hang_over)
+    p.add_argument("--floor-percentile", type=_finite_float, default=VadConfig.floor_percentile)
 
     p = add("train", _cmd_train, "train the toy embedding model", pad_aug)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--augment", choices=("none", "ht", "hmt"), default="none")
-    p.add_argument("--steps", type=int, default=1000)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--hidden-dim", type=int, default=64)
-    p.add_argument("--embed-dim", type=int, default=32)
-    p.add_argument("--scale", type=_finite_float, default=32.0)
-    p.add_argument("--margin", type=_finite_float, default=0.2)
-    p.add_argument("--lr-init", type=_finite_float, default=1e-1)
-    p.add_argument("--lr-final", type=_finite_float, default=5e-5)
-    p.add_argument("--warmup-steps", type=int, default=100)
-    p.add_argument("--margin-warm-steps", type=int, default=-1)
-    p.add_argument("--chunk-frames", type=int, default=300)
+    p.add_argument("--steps", type=int, default=ToyModelConfig.total_steps)
+    p.add_argument("--batch-size", type=int, default=ToyModelConfig.batch_size)
+    p.add_argument("--hidden-dim", type=int, default=ToyModelConfig.hidden_dim)
+    p.add_argument("--embed-dim", type=int, default=ToyModelConfig.embed_dim)
+    p.add_argument("--scale", type=_finite_float, default=ToyModelConfig.scale)
+    p.add_argument("--margin", type=_finite_float, default=ToyModelConfig.margin_final)
+    p.add_argument("--lr-init", type=_finite_float, default=ToyModelConfig.lr_init)
+    p.add_argument("--lr-final", type=_finite_float, default=ToyModelConfig.lr_final)
+    p.add_argument("--warmup-steps", type=int, default=ToyModelConfig.warmup_steps)
+    p.add_argument("--margin-warm-steps", type=int, default=ToyModelConfig.margin_warm_steps)
+    p.add_argument("--chunk-frames", type=int, default=ToyModelConfig.chunk_len)
     p.add_argument("--log", default=None, help="optional per-step training log TSV")
     p.add_argument("--seed", type=int, required=True)
 

@@ -14,7 +14,8 @@ class CorruptHeaderError(PadAugError):
 
 class UnsupportedFormatError(PadAugError):
     """Audio is readable but not in a supported format: 16-bit mono PCM,
-    at a sample rate fbank and the VAD can frame (above 50 Hz)."""
+    at a sample rate fbank and the VAD can frame (above 50 Hz), and one
+    sample rate across a training set."""
 
 
 class InvalidConfigError(PadAugError, ValueError):
@@ -22,7 +23,8 @@ class InvalidConfigError(PadAugError, ValueError):
 
 
 class TooShortError(PadAugError):
-    """Input signal is shorter than the operation requires."""
+    """Input signal is shorter than the operation requires: an empty
+    waveform, or fewer than two frames for statistics pooling."""
 
 
 class LengthMismatchError(PadAugError):
@@ -31,14 +33,6 @@ class LengthMismatchError(PadAugError):
 
 class SilentReferenceError(PadAugError):
     """Reference signal has zero power, noise variance is undefined."""
-
-
-class EmptyInputError(PadAugError):
-    """Operation received a zero-length waveform."""
-
-
-class InvalidRatioError(PadAugError, ValueError):
-    """Silence-to-speech ratio outside the supported sweep range."""
 
 
 class DimMismatchError(PadAugError):
@@ -51,10 +45,6 @@ class ZeroNormError(PadAugError):
 
 class InvalidLabelError(PadAugError, ValueError):
     """Class label outside [0, n_speakers)."""
-
-
-class TooFewFramesError(PadAugError):
-    """Statistics pooling needs at least two frames."""
 
 
 class DegenerateTrialSetError(PadAugError):

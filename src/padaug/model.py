@@ -25,7 +25,8 @@ from .errors import (
     DimMismatchError,
     InvalidConfigError,
     InvalidLabelError,
-    TooFewFramesError,
+    TooShortError,
+    UnsupportedFormatError,
 )
 from .features import N_MELS, FeatureMatrix, chunk_frames, cmn, fbank
 from .manifest import map_records, staged
@@ -142,7 +143,7 @@ def _forward(m: ToyModel, feats):
         if f.dims != m.input_dim:
             raise DimMismatchError(f"features have {f.dims} dims, model expects {m.input_dim}")
         if f.frames < 2:
-            raise TooFewFramesError(f"pooling needs >= 2 frames, got {f.frames}")
+            raise TooShortError(f"pooling needs >= 2 frames, got {f.frames}")
     rows = sum(f.frames for f in feats)
     centered, active = np.empty((rows, hid)), np.empty((rows, hid), dtype=bool)
     mus, variances = np.empty((b, hid)), np.empty((b, hid))
@@ -283,7 +284,8 @@ class TrainingSet:
 
 
 def load_training_set(records) -> TrainingSet:
-    """Load waveforms into memory and map speaker ids to label indices."""
+    """Load waveforms into memory and map speaker ids to label indices.
+    All waveforms must share one sample rate."""
     speakers = sorted({r.speaker_id for r in records})
     if len(speakers) < 2:
         raise DatasetTooSmallError(f"need >= 2 speakers, got {len(speakers)}")
@@ -291,6 +293,10 @@ def load_training_set(records) -> TrainingSet:
     utt_ids = [r.utt_id for r in records]
     labels = np.array([index[r.speaker_id] for r in records], dtype=np.int64)
     waveforms = map_records(records, lambda rec, w, rng: w)
+    rates = {w.sample_rate_hz: r.utt_id for r, w in zip(records, waveforms)}
+    if len(rates) > 1:
+        named = ", ".join(f"{utt!r} at {sr} Hz" for sr, utt in sorted(rates.items()))
+        raise UnsupportedFormatError(f"training set mixes sample rates: {named}")
     return TrainingSet(utt_ids=utt_ids, labels=labels, waveforms=waveforms, speakers=speakers)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .audio_io import Waveform
 from .augment import PaddingLayout, assemble, loop_pad, random_chunk, wgn_like
-from .errors import EmptyInputError, InvalidConfigError, InvalidRatioError, LengthMismatchError
+from .errors import InvalidConfigError, LengthMismatchError
 from .manifest import map_wavs
 from .model import embed_utterance
 from .seeding import Rng, randint
@@ -37,8 +37,6 @@ PLACEMENTS = ("head-tail-even", "per-layout", "head-mid-tail-even")
 
 def build_chunk3s(w: Waveform, rng: Rng) -> Waveform:
     """Random contiguous 3 s chunk; shorter inputs are loop-padded first."""
-    if len(w) == 0:
-        raise EmptyInputError("cannot chunk an empty waveform")
     t_s = round(CHUNK_SECONDS * w.sample_rate_hz)
     return random_chunk(loop_pad(w, t_s), t_s, rng)
 
@@ -46,7 +44,7 @@ def build_chunk3s(w: Waveform, rng: Rng) -> Waveform:
 def check_ratio(k_seconds: int, placement: str) -> None:
     """Raise unless build_ratio accepts (k_seconds, placement)."""
     if not 0 <= k_seconds <= MAX_RATIO_SECONDS:
-        raise InvalidRatioError(f"k_seconds must be in [0, {MAX_RATIO_SECONDS}], got {k_seconds}")
+        raise InvalidConfigError(f"k_seconds must be in [0, {MAX_RATIO_SECONDS}], got {k_seconds}")
     if placement not in PLACEMENTS:
         raise InvalidConfigError(f"unknown placement {placement!r}")
 

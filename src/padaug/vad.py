@@ -36,15 +36,14 @@ class VadConfig:
             raise InvalidConfigError(f"floor_percentile must be in (0, 1), got {self.floor_percentile}")
 
 
-@dataclass
-class SpeechMask:
-    flags: np.ndarray  # bool per frame
-    frame_samples: int
-
-    def __post_init__(self):
-        self.flags = np.asarray(self.flags, dtype=bool)
-        if self.flags.ndim != 1:
-            raise InvalidConfigError("mask flags must be 1-D")
+def _frame_samples(w: Waveform) -> int:
+    """Samples per FRAME_MS frame at w's sample rate."""
+    step = round(FRAME_MS * w.sample_rate_hz / 1000.0)
+    if step == 0:
+        raise UnsupportedFormatError(
+            f"sample rate {w.sample_rate_hz} Hz gives a {FRAME_MS:g} ms frame of 0 samples; the VAD needs > 50 Hz"
+        )
+    return step
 
 
 def _dilate(raw: np.ndarray, before: int, after: int) -> np.ndarray:
@@ -56,13 +55,9 @@ def _dilate(raw: np.ndarray, before: int, after: int) -> np.ndarray:
     return out
 
 
-def detect(w: Waveform, cfg: VadConfig = VadConfig()) -> SpeechMask:
-    """Per-frame speech decisions for w."""
-    step = round(FRAME_MS * w.sample_rate_hz / 1000.0)
-    if step == 0:
-        raise UnsupportedFormatError(
-            f"sample rate {w.sample_rate_hz} Hz gives a {FRAME_MS:g} ms frame of 0 samples; the VAD needs > 50 Hz"
-        )
+def detect(w: Waveform, cfg: VadConfig = VadConfig()) -> np.ndarray:
+    """Speech decisions for w: a 1-D bool array, one per FRAME_MS frame."""
+    step = _frame_samples(w)
     nf = len(w) // step
     if nf < 1:
         raise TooShortError(f"need at least {step} samples for one frame, got {len(w)}")
@@ -70,34 +65,34 @@ def detect(w: Waveform, cfg: VadConfig = VadConfig()) -> SpeechMask:
     energy_db = 10.0 * np.log10(np.maximum(np.mean(np.square(frames), axis=1), _ENERGY_FLOOR))
     threshold = np.quantile(energy_db, cfg.floor_percentile) + cfg.energy_offset_db
     raw = energy_db > threshold
-    return SpeechMask(_dilate(raw, cfg.hang_before, cfg.hang_over), step)
+    return _dilate(raw, cfg.hang_before, cfg.hang_over)
 
 
-def drop_silence(w: Waveform, mask: SpeechMask) -> Waveform:
-    """Concatenate the samples of true frames, preserving order.
+def drop_silence(w: Waveform, flags: np.ndarray) -> Waveform:
+    """Concatenate the samples of the frames whose flag is true, in order.
 
-    The trailing partial frame (fewer than frame_samples samples) follows
-    the decision of the last full frame. A mask that keeps no frame
-    returns w unchanged: a VAD that finds no speech keeps the original.
+    flags holds one bool per FRAME_MS frame of w, as detect returns. The
+    trailing partial frame follows the decision of the last full frame.
+    Flags that keep no frame return w unchanged: a VAD that finds no
+    speech keeps the original.
     """
-    step = mask.frame_samples
+    step = _frame_samples(w)
     nf = len(w) // step
-    if nf != len(mask.flags):
-        raise LengthMismatchError(f"mask has {len(mask.flags)} frames, waveform has {nf}")
-    if not mask.flags.any():
+    flags = np.asarray(flags, dtype=bool)
+    if flags.shape != (nf,):
+        raise LengthMismatchError(f"mask has shape {flags.shape}, waveform has {nf} frames")
+    if not flags.any():
         return w
-    keep = np.repeat(mask.flags, step)
+    keep = np.repeat(flags, step)
     tail = len(w) - nf * step
     if tail:
-        keep = np.concatenate([keep, np.full(tail, mask.flags[-1])])
+        keep = np.concatenate([keep, np.full(tail, flags[-1])])
     return Waveform(w.samples[keep].copy(), w.sample_rate_hz)
 
 
-# Mask dump: one line per utterance, "<utt_id>\t<'0'/'1' per frame>".
-
-
 def write_mask_dump(path, items) -> None:
+    """One line per (utt_id, flags) pair: the id, a tab, then a 0 or 1 per frame."""
     with staged(path) as (tmp,), open(tmp, "w", encoding="utf-8") as f:
-        for utt_id, mask in items:
-            bits = "".join("1" if v else "0" for v in mask.flags)
+        for utt_id, flags in items:
+            bits = "".join("1" if v else "0" for v in flags)
             f.write(f"{utt_id}\t{bits}\n")

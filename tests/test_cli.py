@@ -13,6 +13,7 @@ import padaug.cli
 import padaug.features
 import padaug.model
 from padaug.audio_io import Waveform, read_wav, write_wav
+from padaug.augment import PadAugConfig
 from padaug.cli import main
 from padaug.features import FeatureMatrix, read_feature_dump, write_feature_dump
 from padaug.manifest import UtteranceRecord, read_manifest, write_manifest
@@ -20,7 +21,7 @@ from padaug.metrics import Trials, write_scores, write_trials
 from padaug.model import ToyModelConfig, init_model, load_model, save_model
 from padaug.seeding import make_rng
 from padaug.testset import ratio_sweep
-from padaug.vad import SpeechMask, write_mask_dump
+from padaug.vad import VadConfig, write_mask_dump
 
 
 @pytest.fixture(scope="module")
@@ -486,6 +487,23 @@ def test_vad_rate_too_low_to_frame(tmp_path, capsys):
     assert not (tmp_path / "v").exists()
 
 
+def test_train_rejects_mixed_sample_rates(tmp_path, capsys):
+    # --t-min/--t-max and fbank's Mel bands both depend on the rate, so one
+    # training set has one rate
+    records = []
+    for i, sr in enumerate((16000, 16000, 8000, 8000)):
+        path = tmp_path / f"u{i}.wav"
+        write_wav(Waveform(0.1 * make_rng(i).standard_normal(sr), sr), path)
+        records.append(UtteranceRecord(f"u{i}", f"s{i % 2}", str(path), sr, sr))
+    write_manifest(records, tmp_path / "m.tsv")
+    capsys.readouterr()
+    assert main(["train", "--manifest", str(tmp_path / "m.tsv"), "--out", str(tmp_path / "model.bin"),
+                 "--augment", "ht", "--steps", "2", "--warmup-steps", "1", "--batch-size", "4", "--seed", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "'u3' at 8000 Hz, 'u1' at 16000 Hz" in err
+    assert list(tmp_path.glob("model.bin*")) == []
+
+
 @pytest.mark.parametrize("field", ["utt_id", "speaker_id", "wav_path"])
 def test_nul_in_manifest_is_pipeline_error(corpus, tmp_path, capsys, field):
     # an exception escaping main is the traceback the user would see
@@ -520,7 +538,7 @@ def text_writer(name, d, corpus):
     if name == "write_scores":
         return d / "s.txt", lambda: write_scores(trials, np.array([0.5, -0.25]), d / "s.txt")
     if name == "write_mask_dump":
-        return d / "m.txt", lambda: write_mask_dump(d / "m.txt", [("a", SpeechMask(np.array([True, False]), 160))])
+        return d / "m.txt", lambda: write_mask_dump(d / "m.txt", [("a", np.array([True, False]))])
     if name == "eval --out":
         write_trials(trials, d / "t.txt")
         write_scores(trials, np.array([0.5, -0.25]), d / "s.txt")
@@ -754,6 +772,27 @@ def test_resolved_config_defaults_are_pinned(tmp_path, monkeypatch, capsys, comm
     capsys.readouterr()
     assert main([command] + argv) == 1  # m.tsv does not exist
     assert capsys.readouterr().err.splitlines()[0] == "resolved-config: " + resolved
+
+
+# Each option default is the config field it fills: (config, {option dest: field}).
+CONFIG_DEFAULTS = {
+    "augment": (PadAugConfig(t_min=1, t_max=1), {"snr_min": "snr_min_db", "snr_max": "snr_max_db"}),
+    "vad": (VadConfig(), {"offset_db": "energy_offset_db", "hang_before": "hang_before",
+                          "hang_over": "hang_over", "floor_percentile": "floor_percentile"}),
+    "train": (ToyModelConfig(n_speakers=2), {
+        "steps": "total_steps", "batch_size": "batch_size", "hidden_dim": "hidden_dim", "embed_dim": "embed_dim",
+        "scale": "scale", "margin": "margin_final", "lr_init": "lr_init", "lr_final": "lr_final",
+        "warmup_steps": "warmup_steps", "margin_warm_steps": "margin_warm_steps", "chunk_frames": "chunk_len"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_DEFAULTS))
+def test_option_defaults_are_the_config_defaults(command):
+    cfg, fields = CONFIG_DEFAULTS[command]
+    argv = [command, "--manifest", "m.tsv", "--out", "o"] + ([] if command == "vad" else ["--seed", "1"])
+    args = padaug.cli._build_parser().parse_args(argv)
+    parsed = {dest: (type(getattr(args, dest)), getattr(args, dest)) for dest in fields}
+    assert parsed == {dest: (type(getattr(cfg, field)), getattr(cfg, field)) for dest, field in fields.items()}
 
 
 # Flags that padaug does not have: each is a usage error, never a silent no-op.

@@ -13,7 +13,7 @@ from padaug.errors import (
     DimMismatchError,
     InvalidConfigError,
     InvalidLabelError,
-    TooFewFramesError,
+    TooShortError,
 )
 from padaug.features import FeatureMatrix, cmn, fbank
 from padaug.model import (
@@ -233,9 +233,9 @@ def test_tsp_matches_two_pass_oracle():
 
 def test_tsp_needs_two_frames():
     for frames in (0, 1):
-        with pytest.raises(TooFewFramesError):
+        with pytest.raises(TooShortError):
             pool(np.zeros((frames, 4)))
-    with pytest.raises(TooFewFramesError):
+    with pytest.raises(TooShortError):
         forward(init_model(small_cfg(0)), FeatureMatrix(np.zeros((1, 6))))
 
 

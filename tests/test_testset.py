@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import padaug.manifest
 from padaug.audio_io import Waveform, read_wav, write_wav
 from padaug.augment import PaddingLayout, assemble, wgn_like
-from padaug.errors import DimMismatchError, EmptyInputError, InvalidConfigError, InvalidRatioError, LengthMismatchError
+from padaug.errors import DimMismatchError, InvalidConfigError, LengthMismatchError, TooShortError
 from padaug.features import N_MELS, cmn, fbank
 from padaug.manifest import UtteranceRecord, map_records, read_manifest
 from padaug.model import ToyModelConfig, forward, init_model
@@ -54,7 +54,7 @@ def test_chunk3s_deterministic_and_rejects_empty():
     a = build_chunk3s(x, make_rng(3))
     b = build_chunk3s(x, make_rng(3))
     assert np.array_equal(a.samples, b.samples)
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(TooShortError):
         build_chunk3s(Waveform(np.zeros(0), SR), make_rng(0))
 
 
@@ -177,7 +177,7 @@ def test_build_ratio_duration_monotone_in_k():
 def test_build_ratio_rejects_bad_k():
     c = speech(3 * SR)
     for k in (-1, 9):
-        with pytest.raises(InvalidRatioError):
+        with pytest.raises(InvalidConfigError):
             build_ratio(c, k, "head-tail-even", 25.0, make_rng(0))
     with pytest.raises(InvalidConfigError):
         build_ratio(c, 2, "sideways", 25.0, make_rng(0))
@@ -186,7 +186,7 @@ def test_build_ratio_rejects_bad_k():
 def test_variant_validation():
     with pytest.raises(InvalidConfigError):
         check_ratio(2, "sideways")
-    with pytest.raises(InvalidRatioError):
+    with pytest.raises(InvalidConfigError):
         check_ratio(MAX_RATIO_SECONDS + 1, "head-tail-even")
     for k in range(MAX_RATIO_SECONDS + 1):
         for placement in PLACEMENTS:
