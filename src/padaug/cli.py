@@ -146,9 +146,10 @@ def _cmd_vad(args) -> int:
         flags = masks[rec.utt_id] = detect(w, cfg)
         return drop_silence(w, flags)
 
-    map_wavs(records, args.out, one)
-    if args.mask_out:
-        write_mask_dump(args.mask_out, [(r.utt_id, masks[r.utt_id]) for r in records])
+    def write_masks(tmp):
+        write_mask_dump(tmp, [(r.utt_id, masks[r.utt_id]) for r in records])
+
+    map_wavs(records, args.out, one, extra={args.mask_out: write_masks} if args.mask_out else None)
     print(f"dropped silence for {len(records)} utterances into {args.out}")
     return 0
 
@@ -181,12 +182,14 @@ def _cmd_train(args) -> int:
         "final_loss": f"{result.log[-1][1]:.6f}",
         "seed": args.seed,
     }
-    save_model(result.model, args.out, meta)
-    if args.log:
-        with staged(args.log) as (tmp,), open(tmp, "w", encoding="utf-8") as f:
+
+    def write_log(tmp):
+        with open(tmp, "w", encoding="utf-8") as f:
             f.write("step\tloss\tlr\tmargin\n")
             for step, loss, lr, margin in result.log:
                 f.write(f"{step}\t{loss:.6f}\t{lr:.8f}\t{margin:.6f}\n")
+
+    save_model(result.model, args.out, meta, extra={args.log: write_log} if args.log else None)
     print(f"trained {cfg.total_steps} steps (final loss {result.log[-1][1]:.4f}), saved {args.out}")
     return 0
 

@@ -7,14 +7,17 @@ a dataset directory can be moved wholesale.
 map_records is the one read path: it reads each record's WAV and applies
 a transform with the record's own generator, seeded from (seed, utt_id).
 staged is the one publish path for every file the package writes, WAV
-dataset directories included: it creates the missing parent directories,
-writes temporary siblings and moves them into place only once all of them
-are complete; a failure removes the temporaries and the directories it
-created. map_wavs writes a WAV dataset directory (`<utt_id>.wav` per
-record plus `manifest.tsv`) through one staged block, and can run a
-further step on each waveform as written, in the same worker.
+dataset directories included: it refuses a destination that is a
+directory, creates the missing parent directories, writes temporary
+siblings and moves them into place only once all of them are complete; a
+failure removes the temporaries and the directories it created. map_wavs
+writes one or several WAV dataset directories (`<utt_id>.wav` per record
+plus `manifest.tsv` in each), and any further files its caller names,
+through one staged block, and can run a further step on each waveform as
+written, in the same worker.
 """
 
+import errno
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -58,8 +61,17 @@ def staged(*paths):
     """Yield a `<path>.tmp` sibling for each path, each missing parent
     directory created once. Once the block succeeds they are os.replace'd
     into place in the order given; if it raises they are unlinked, the
-    directories created here are removed, and no path changes."""
+    directories created here are removed, and no path changes.
+
+    A path that is an existing directory is refused on entry with
+    IsADirectoryError, before any directory is made or the block runs. If
+    an os.replace fails, the temporaries not yet moved are unlinked before
+    the error propagates.
+    """
     paths = [Path(p) for p in paths]
+    for p in paths:
+        if p.is_dir():
+            raise IsADirectoryError(errno.EISDIR, "cannot publish over a directory", str(p))
     tmps = tuple(Path(f"{p}.tmp") for p in paths)
     made = []
     try:
@@ -74,8 +86,13 @@ def staged(*paths):
         for d in reversed(made):
             d.rmdir()
         raise
-    for tmp, p in zip(tmps, paths):
-        os.replace(tmp, p)
+    for i, (tmp, p) in enumerate(zip(tmps, paths)):
+        try:
+            os.replace(tmp, p)
+        except BaseException:
+            for left in tmps[i:]:
+                left.unlink(missing_ok=True)
+            raise
 
 
 def write_manifest(records, path) -> None:
@@ -158,32 +175,47 @@ def map_records(records, fn, seed=None):
     return worker_map(one, records)
 
 
-def map_wavs(records, out_dir, fn, seed=None, step=lambda new, heard: new):
+def map_wavs(records, out_dir, fn, seed=None, step=lambda new, heard: new, extra=None):
     """Write fn(rec, waveform, rng) as out_dir/<utt_id>.wav for every
     record through map_records, plus out_dir/manifest.tsv.
 
-    step(new_rec, heard) runs in the same worker right after each write,
-    where heard is the waveform as written (what read_wav gives back for
-    the file); map_wavs returns the step results in input order, by
-    default the new records.
+    out_dir may instead be a list of directories: fn then yields one
+    waveform per directory, in that order, and each is written as it is
+    yielded. step(new_rec, heard) runs in the same worker right after each
+    write, where heard is the waveform as written (what read_wav gives
+    back for the file); map_wavs returns the step results in input order,
+    by default the new records, and for a list of directories one list
+    per record, in directory order. extra maps further paths to
+    write(tmp) callables, run once every record has succeeded.
 
-    All or nothing: the WAVs and then the manifest are published by one
-    staged block once every record, step included, has succeeded, so a
-    failed run adds no file or directory and removes none.
+    All or nothing: the WAVs, then the manifests, then the extra paths
+    are published by one staged block once every record, step included,
+    has succeeded, so a failed run adds no file or directory and removes
+    none.
     """
-    out_dir = Path(out_dir)
+    several = not isinstance(out_dir, (str, os.PathLike))
+    out_dirs = [Path(d) for d in out_dir] if several else [Path(out_dir)]
     for rec in records:
         check_utt_id(rec.utt_id)  # before any path is built from it
-    wav_paths = {rec.utt_id: out_dir / f"{rec.utt_id}.wav" for rec in records}
-    with staged(*wav_paths.values(), out_dir / "manifest.tsv") as tmps:
-        tmp_of = dict(zip(wav_paths, tmps))
+    wavs = [d / f"{rec.utt_id}.wav" for d in out_dirs for rec in records]
+    manifests = [d / "manifest.tsv" for d in out_dirs]
+    extra = extra or {}
+    with staged(*wavs, *manifests, *extra) as tmps:
+        tmp_of = dict(zip([*wavs, *manifests, *extra], tmps))
 
         def one(rec: UtteranceRecord, w, rng):
-            out = fn(rec, w, rng)
-            heard = write_wav(out, tmp_of[rec.utt_id])
-            new = UtteranceRecord(rec.utt_id, rec.speaker_id, str(wav_paths[rec.utt_id]), len(out), out.sample_rate_hz)
-            return new, step(new, heard)
+            outs = fn(rec, w, rng)
+            done = []
+            for d, out in zip(out_dirs, outs if several else [outs], strict=True):
+                path = d / f"{rec.utt_id}.wav"
+                heard = write_wav(out, tmp_of[path])
+                new = UtteranceRecord(rec.utt_id, rec.speaker_id, str(path), len(out), out.sample_rate_hz)
+                done.append((new, step(new, heard)))
+            return done
 
         results = map_records(records, one, seed)
-        write_manifest([new for new, _ in results], tmps[-1])
-    return [r for _, r in results]
+        for i, path in enumerate(manifests):
+            write_manifest([done[i][0] for done in results], tmp_of[path])
+        for path, write in extra.items():
+            write(tmp_of[path])
+    return [[r for _, r in done] if several else done[0][1] for done in results]

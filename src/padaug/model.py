@@ -369,16 +369,20 @@ def embed_utterance(models, w) -> list:
 # all little-endian, plus a text sidecar (<path>.meta) with config notes.
 
 
-def save_model(m: ToyModel, path, meta: dict | None = None) -> None:
+def save_model(m: ToyModel, path, meta: dict | None = None, extra: dict | None = None) -> None:
     """Write the checkpoint and its .meta through manifest.staged, moved
-    into place (checkpoint first, .meta last) only once both are written."""
-    with staged(path, f"{path}.meta") as (tmp_bin, tmp_meta):
+    into place (checkpoint first, .meta, then the paths extra maps to
+    write(tmp) callables) only once all are written."""
+    extra = extra or {}
+    with staged(path, f"{path}.meta", *extra) as (tmp_bin, tmp_meta, *tmps):
         with open(tmp_bin, "wb") as f:
             f.write(CHECKPOINT_MAGIC)
             f.write(struct.pack("<iiii", m.input_dim, m.hidden_dim, m.embed_dim, m.n_speakers))
             for name in ("w1", "b1", "w2", "b2", "head"):
                 f.write(m.params()[name].astype("<f8").tobytes(order="C"))
         tmp_meta.write_text("".join(f"{k}={v}\n" for k, v in sorted((meta or {}).items())), encoding="utf-8")
+        for write, tmp in zip(extra.values(), tmps):
+            write(tmp)
 
 
 def load_model(path) -> ToyModel:

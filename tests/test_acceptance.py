@@ -155,24 +155,20 @@ def experiment(tmp_path_factory):
 
     ids = [rec.utt_id for rec in records]
     eers = {}
-    t_eval = {}
-    tk = time.monotonic()
+    t0 = time.monotonic()
     for k, embs in ratio_sweep(records, list(models.values()), root / "sweep", SEED + 1):
         for name, emb in zip(models, embs):
             eers[name, k] = det_metrics(score_trials(trials, dict(zip(ids, emb))), trials.is_target).eer
-        t_eval[k] = time.monotonic() - tk  # building, embedding and scoring k
-        # One padded set on disk at a time: the full sweep is ~2 GB of WAVs.
-        shutil.rmtree(root / "sweep" / f"ratio{k}")
-        tk = time.monotonic()
-    return {"eers": eers, "t_train": t_train, "t_eval": t_eval}
+    t_sweep = time.monotonic() - t0  # building, embedding and scoring every k
+    shutil.rmtree(root / "sweep")  # ~2 GB of padded WAVs
+    return {"eers": eers, "t_train": t_train, "t_sweep": t_sweep}
 
 
 def test_directional_padding_robustness(experiment):
     eers = experiment["eers"]
     assert eers["baseline", 2] > eers["baseline", 0]  # padding hurts the baseline
     assert eers["padaug", 2] <= eers["baseline", 2]  # augmented model holds up
-    runtime = experiment["t_train"] + experiment["t_eval"][0] + experiment["t_eval"][2]
-    assert runtime < 300.0
+    assert experiment["t_train"] + experiment["t_sweep"] < 300.0
 
 
 def test_ratio_sweep_stability(experiment):

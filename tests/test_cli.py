@@ -11,6 +11,7 @@ import pytest
 
 import padaug.cli
 import padaug.features
+import padaug.manifest
 import padaug.model
 from padaug.audio_io import Waveform, read_wav, write_wav
 from padaug.augment import PadAugConfig
@@ -311,6 +312,21 @@ def test_sweep_cmd(tmp_path, capsys, monkeypatch):
     assert sorted(names) == ["sysA"] * 9 + ["sysB"] * 9
 
 
+def test_sweep_refuses_a_directory_in_place_of_a_wav(tmp_path, capsys, monkeypatch):
+    argv = sweep_inputs(tmp_path)
+    work = tmp_path / "W"
+    first = read_manifest(tmp_path / "corpus" / "manifest.tsv")[0].utt_id
+    (work / "ratio3" / f"{first}.wav").mkdir(parents=True)
+    reads = []
+    monkeypatch.setattr(padaug.manifest, "read_wav", reads.append)
+    capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path / "s.tsv"), "--work-dir", str(work)]) == 1
+    assert str(work / "ratio3" / f"{first}.wav") in capsys.readouterr().err
+    assert reads == []  # refused before any record is read, padded or embedded
+    assert sorted(p.relative_to(work) for p in work.rglob("*")) == [Path("ratio3"), Path("ratio3") / f"{first}.wav"]
+    assert not (tmp_path / "s.tsv").exists()
+
+
 def test_sweep_bad_p_target_builds_nothing(tmp_path, capsys):
     argv = sweep_inputs(tmp_path)
     out = tmp_path / "s.tsv"
@@ -374,7 +390,7 @@ def model_file(tmp_path_factory):
 
 
 def test_build_testset_then_embed_reproduces_the_sweep(corpus, model_file, tmp_path):
-    # the step-by-step CLI path gives the k = 2 rows ratio_sweep yields, as float32
+    # the step-by-step CLI path gives the k = 2 rows ratio_sweep returns, as float32
     ts = tmp_path / "ratio2"
     assert main(["build-testset", "--manifest", str(corpus / "manifest.tsv"), "--out", str(ts), "--k", "2",
                  "--placement", "head-mid-tail-even", "--seed", "13"]) == 0
@@ -594,6 +610,20 @@ def test_failed_text_write_keeps_old_file(corpus, tmp_path, disk_full, name):
         write()
     # the earlier file byte-identical, no temporary file left behind
     assert file_digests(tmp_path) == before
+
+
+@pytest.mark.parametrize("command", ["vad", "train"])
+def test_second_output_a_directory_publishes_neither(corpus, tmp_path, capsys, command):
+    # --mask-out and --log are published in the same staged block as --out
+    first, second = tmp_path / "out", tmp_path / "second"
+    second.mkdir()
+    flags = {"vad": ["--mask-out", second],
+             "train": ["--steps", "3", "--warmup-steps", "1", "--batch-size", "4", "--hidden-dim", "8",
+                       "--embed-dim", "4", "--chunk-frames", "50", "--log", second, "--seed", "1"]}[command]
+    capsys.readouterr()
+    assert main([command, "--manifest", str(corpus / "manifest.tsv"), "--out", str(first), *map(str, flags)]) == 1
+    assert str(second) in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == [second]
 
 
 def test_failed_record_adds_no_file_to_out(tmp_path):

@@ -195,3 +195,27 @@ def test_staged_failure_changes_nothing(tmp_path):
         raise RuntimeError("failed half way")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt"]
     assert a.read_text() == "old a"
+
+
+def test_staged_refuses_a_directory_on_entry(tmp_path):
+    a, b = tmp_path / "new" / "a.txt", tmp_path / "b.txt"
+    b.mkdir()
+    with pytest.raises(IsADirectoryError, match=re.escape(str(b))), staged(a, b):
+        raise AssertionError("the block ran")
+    assert [p.name for p in tmp_path.iterdir()] == ["b.txt"]
+
+
+def test_staged_failed_replace_unlinks_the_rest(tmp_path, monkeypatch):
+    a, b, c = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "c.txt"
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if dst == b:
+            raise PermissionError(f"cannot move {src}")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(PermissionError), staged(a, b, c) as tmps:
+        for tmp in tmps:
+            tmp.write_text("new")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt"]  # moved before the failure

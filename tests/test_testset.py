@@ -13,7 +13,7 @@ from padaug.errors import DimMismatchError, InvalidConfigError, LengthMismatchEr
 from padaug.features import N_MELS, cmn, fbank
 from padaug.manifest import UtteranceRecord, map_records, read_manifest
 from padaug.model import ToyModelConfig, forward, init_model
-from padaug.seeding import make_rng, randint
+from padaug.seeding import child_seed, make_rng, randint
 from padaug.synth import build_corpus
 from padaug.testset import (
     MAX_RATIO_SECONDS,
@@ -285,22 +285,57 @@ def tree(root):
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_ratio_sweep_reads_each_input_once_per_k(sweep_inputs, tmp_path, monkeypatch, threads):
+def test_ratio_sweep_reads_each_input_once(sweep_inputs, tmp_path, monkeypatch, threads):
     monkeypatch.setenv("PADAUG_THREADS", threads)
     records, models = sweep_inputs
     reads = []
     real_read_wav = padaug.manifest.read_wav
     monkeypatch.setattr(padaug.manifest, "read_wav", lambda path: (reads.append(Path(path)), real_read_wav(path))[1])
-    for _ in ratio_sweep(records, models, tmp_path / "work", 11):
-        pass
-    assert Counter(reads) == {Path(r.wav_path): MAX_RATIO_SECONDS + 1 for r in records}
-    assert not any(p.is_relative_to(tmp_path / "work") for p in reads)
+    ratio_sweep(records, models, tmp_path / "work", 11)
+    assert Counter(reads) == {Path(r.wav_path): 1 for r in records}
+
+
+def test_pcg64_normals_are_prefixes():
+    # ratio_sweep slices a smaller k's noise out of k = 8's on this property
+    assert np.array_equal(make_rng(5).standard_normal(16000), make_rng(5).standard_normal(128000)[:16000])
+
+
+def states_before_noise(w, utt_id, seed):
+    """The generator state per-layout reaches the noise in, for k = 1..8."""
+    rng = make_rng(child_seed(seed, utt_id))
+    build_chunk3s(w, rng)
+    start = rng.bit_generator.state
+    states = []
+    for k in range(1, MAX_RATIO_SECONDS + 1):
+        rng.bit_generator.state = start
+        randint(rng, 0, k * SR)
+        states.append(rng.bit_generator.state)
+    return states
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_ratio_sweep_draws_afresh_when_the_state_differs(tmp_path, monkeypatch, threads):
+    # At seed 11, the per-layout split draw of u2857 (k = 8) and u10087
+    # (k = 6) rejects a 32-bit word and draws again, so those k reach the
+    # noise in another state than the other k, and must draw their own.
+    monkeypatch.setenv("PADAUG_THREADS", threads)
+    records = []
+    for i, utt in enumerate(("u0", "u2857", "u10087")):
+        w = speech(4 * SR, seed=i)
+        write_wav(w, tmp_path / f"{utt}.wav")
+        records.append(UtteranceRecord(utt, "s0", str(tmp_path / f"{utt}.wav"), len(w), SR))
+        states = states_before_noise(w, utt, 11)
+        assert (states.count(states[0]) == len(states)) == (utt == "u0")
+    models = [init_model(ToyModelConfig(n_speakers=1, hidden_dim=8, embed_dim=4, seed=0))]
+    ratio_sweep(records, models, tmp_path / "new", 11, "per-layout")
+    for k in range(MAX_RATIO_SECONDS + 1):
+        build_testset(records, tmp_path / "ref" / f"ratio{k}", 11, k, "per-layout")
+    assert tree(tmp_path / "new") == tree(tmp_path / "ref")
 
 
 def test_ratio_sweep_failure_leaves_no_directory(sweep_inputs, tmp_path):
     records, models = sweep_inputs
     wrong = init_model(ToyModelConfig(n_speakers=3, input_dim=N_MELS + 1, hidden_dim=16, embed_dim=8))
-    sweep = ratio_sweep(records, [*models, wrong], tmp_path / "work", 11)
     with pytest.raises(DimMismatchError, match=f"^utterance {records[0].utt_id}: "):
-        next(sweep)
+        ratio_sweep(records, [*models, wrong], tmp_path / "work", 11)
     assert not (tmp_path / "work").exists()
