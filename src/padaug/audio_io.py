@@ -2,9 +2,9 @@
 
 Anything that is not plain 16-bit mono PCM is rejected outright rather
 than converted; augmentation semantics stay unambiguous that way. Samples
-are exchanged as float64 in [-1, 1] (int16 value / 32768). write_wav
-returns what read_wav would give back for the file it wrote, so a caller
-can go on with the stored samples without reading them back.
+are exchanged as float64 in [-1, 1] (int16 value / 32768). quantize
+gives the samples as a WAV stores them, and write_wav returns them, so a
+caller can go on with the stored samples without reading them back.
 """
 
 import struct
@@ -80,34 +80,39 @@ def read_wav(path) -> Waveform:
     if len(payload) % 2 != 0:
         raise CorruptHeaderError(f"{path}: odd data-chunk size for 16-bit samples")
 
-    return Waveform(_from_pcm(np.frombuffer(payload, dtype="<i2")), sample_rate)
+    return Waveform(np.divide(np.frombuffer(payload, dtype="<i2"), INT16_SCALE), sample_rate)
 
 
-def _from_pcm(pcm: np.ndarray, out=None) -> np.ndarray:
-    """int16 samples as the float64 values read_wav returns (exact)."""
-    return np.divide(pcm, INT16_SCALE, out=out)
-
-
-def write_wav(w: Waveform, path) -> Waveform:
-    """Write a waveform as 16-bit mono PCM and return the waveform read_wav
-    gives back for the file. Out-of-range samples, infinities included,
-    are clamped; a NaN sample raises InvalidConfigError before anything is
-    written."""
+def quantize(samples: np.ndarray) -> np.ndarray:
+    """The samples as write_wav stores them and read_wav gives them back:
+    each scaled to int16 steps, rounded half to even and clamped to the
+    int16 range, infinities included; a NaN stays NaN. Sample by sample,
+    so the quantized concatenation of slices is the concatenation of the
+    quantized slices. A fresh float64 array."""
     # Same values as clip(rint(clip(x, -1, 1) * 32768), -32768, 32767), in
     # one buffer: scaling first only moves |x| > 1 further past the clamp,
     # to inf at worst, which the clamp also takes.
     with np.errstate(over="ignore"):
-        q = np.multiply(w.samples, INT16_SCALE)
+        q = np.multiply(samples, INT16_SCALE)
     np.rint(q, out=q)
     np.clip(q, -32768.0, 32767.0, out=q)
-    if np.isnan(q.sum()):  # after the clamp only a NaN sample makes the sum NaN
-        raise InvalidConfigError(f"{path}: sample {np.flatnonzero(np.isnan(q))[0]} is NaN")
-    pcm = q.astype("<i2")
+    np.divide(q, INT16_SCALE, out=q)
+    return np.add(q, 0.0, out=q)  # -0.0 + 0.0 is 0.0: a stored zero reads back unsigned
+
+
+def write_wav(w: Waveform, path) -> Waveform:
+    """Write a waveform as 16-bit mono PCM and return the waveform read_wav
+    gives back for the file, quantize(w.samples). A NaN sample raises
+    InvalidConfigError before anything is written."""
+    heard = quantize(w.samples)
+    if np.isnan(heard.sum()):  # after the clamp only a NaN sample makes the sum NaN
+        raise InvalidConfigError(f"{path}: sample {np.flatnonzero(np.isnan(heard))[0]} is NaN")
+    # Exact: each value is an int16 step. The cast goes through a small
+    # buffer, so no second signal-length float array is made.
+    pcm = np.multiply(heard, INT16_SCALE, out=np.empty(len(heard), "<i2"), casting="unsafe")
     with wave.open(str(path), "wb") as f:
         f.setnchannels(1)
         f.setsampwidth(2)
         f.setframerate(w.sample_rate_hz)
         f.writeframes(pcm.tobytes())
-    # Into q's buffer: a fresh array for a 3-11 s waveform page-faults in
-    # on every call.
-    return Waveform(_from_pcm(pcm, out=q), w.sample_rate_hz)
+    return Waveform(heard, w.sample_rate_hz)

@@ -66,6 +66,12 @@ class PaddingLayout:
     def l_pad(self) -> int:
         return self.l_head + self.l_mid + self.l_tail
 
+    def pieces(self):
+        """The (source, start, stop) slices assemble concatenates, in order:
+        source 0 is the noise, 1 the speech chunk."""
+        h, m = self.l_head, self.l_head + self.l_mid
+        return ((0, 0, h), (1, 0, self.p_mid), (0, h, m), (1, self.p_mid, self.t_s), (0, m, self.l_pad))
+
 
 @dataclass
 class AugmentedUtterance:
@@ -150,17 +156,8 @@ def assemble(x_chunk: Waveform, layout: PaddingLayout, n: Waveform) -> Waveform:
         raise LengthMismatchError("negative segment length in layout")
     if not 0 <= layout.p_mid <= layout.t_s:
         raise LengthMismatchError(f"split point {layout.p_mid} outside [0, {layout.t_s}]")
-    noise = n.samples
-    speech = x_chunk.samples
-    out = np.concatenate(
-        [
-            noise[: layout.l_head],
-            speech[: layout.p_mid],
-            noise[layout.l_head : layout.l_head + layout.l_mid],
-            speech[layout.p_mid :],
-            noise[layout.l_head + layout.l_mid :],
-        ]
-    )
+    sources = (n.samples, x_chunk.samples)
+    out = np.concatenate([sources[s][a:b] for s, a, b in layout.pieces()])
     return Waveform(out, x_chunk.sample_rate_hz)
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 from .augment import PadAugConfig, pad_aug_utterance
 from .errors import DimMismatchError, InvalidConfigError, PadAugError, read_text
 from .features import FeatureMatrix, cmn, fbank, read_feature_dump, write_feature_dump
-from .manifest import map_records, map_wavs, read_manifest, staged
+from .manifest import map_records, map_wavs, read_manifest, refuse_directories, staged
 from .metrics import (check_costs, check_ids, check_kinds, det_metrics, format_report, read_scores, read_trials,
                       score_trials, write_scores)
 from .model import ToyModelConfig, embed_utterance, load_model, load_training_set, save_model, train
@@ -155,6 +155,7 @@ def _cmd_vad(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    refuse_directories(args.out, args.log)  # before any step, not after the last
     records = read_manifest(args.manifest)
     ts = load_training_set(records)
     cfg = ToyModelConfig(
@@ -231,6 +232,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    refuse_directories(args.out)  # before the sweep, not after it
     records = read_manifest(args.manifest)
     trials = read_trials(args.trials)
     ids = [rec.utt_id for rec in records]

@@ -5,7 +5,9 @@ is), Hamming window, magnitude-squared FFT, triangular Mel filterbank on
 the HTK mel scale spanning 0 to Nyquist, then a natural log with the
 energy floored at LOG_FLOOR. The floor is a max(), not an addend, so
 scaling a waveform by c shifts every above-floor output by exactly
-2*ln(c).
+2*ln(c). A frame's row depends only on its own samples and the one before
+them, so fbank_pieces gives fbank of several concatenations of slices of
+shared sources, bit for bit, computing each distinct frame once.
 """
 
 import functools
@@ -112,25 +114,34 @@ class _Workspace(threading.local):
 _WORKSPACE = _Workspace()
 
 
-def fbank(w: Waveform) -> FeatureMatrix:
-    """N_MELS log-Mel features of w under the fixed front end above;
-    frames = 1 + floor((len - win) / hop)."""
-    sr = w.sample_rate_hz
+def _frame_geometry(sr: int, n: int):
+    """(win, hop) in samples at sr; raises unless an n-sample input gives
+    at least one frame."""
     win = round(WIN_MS * sr / 1000.0)
     hop = round(HOP_MS * sr / 1000.0)
     if hop < 1:  # win >= hop, so this also catches win < 1
         raise UnsupportedFormatError(f"sample rate {sr} Hz gives a {HOP_MS:g} ms hop of 0 samples; fbank needs > 50 Hz")
-    if len(w) < win:
-        raise TooShortError(f"need at least {win} samples, got {len(w)}")
-    x = w.samples
+    if n < win:
+        raise TooShortError(f"need at least {win} samples, got {n}")
+    return win, hop
+
+
+def _framed(x: np.ndarray, win: int, hop: int) -> np.ndarray:
+    """Pre-emphasized frames of x, row j = pre[j*hop : j*hop + win], as a
+    view of one fresh pre array."""
     # Pre-emphasis over the whole signal; frames then share boundary context.
     # Computed in place in pre, with no signal-length temporaries.
     pre = np.empty_like(x)
     pre[0] = x[0]
     np.multiply(x[:-1], PREEMPHASIS, out=pre[1:])
     np.subtract(x[1:], pre[1:], out=pre[1:])
+    return sliding_window_view(pre, win)[::hop]
 
-    view = sliding_window_view(pre, win)[::hop]
+
+def _log_mel(view: np.ndarray, sr: int) -> np.ndarray:
+    """Windowed, FFT'd, Mel-projected and floored log energies of the
+    frames in view's rows; a fresh (rows, N_MELS) array."""
+    win = view.shape[1]
     n_fft = 1 << (win - 1).bit_length()  # next power of two >= win
     # From here on every step writes into the thread's scratch, with the
     # shapes the plain expressions had, so the results are bit-identical.
@@ -144,7 +155,111 @@ def fbank(w: Waveform) -> FeatureMatrix:
     np.log(out, out=out)
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("non-finite filterbank output")
-    return FeatureMatrix(out)
+    return out
+
+
+def fbank(w: Waveform) -> FeatureMatrix:
+    """N_MELS log-Mel features of w under the fixed front end above;
+    frames = 1 + floor((len - win) / hop)."""
+    sr = w.sample_rate_hz
+    win, hop = _frame_geometry(sr, len(w))
+    return FeatureMatrix(_log_mel(_framed(w.samples, win, hop), sr))
+
+
+# A Mel product of fewer rows than this can round differently from the
+# same rows inside a taller one (OpenBLAS takes a small-matrix dgemm path
+# for them), while every taller product gives each row the same bits. So
+# rows are shared only between products of at least this many rows.
+MIN_SHARED_ROWS = 16
+
+
+def fbank_pieces(sources, outputs) -> list:
+    """fbank of each output, where an output is a list of (source index,
+    start, stop) pieces of the waveforms in sources, all of one sample
+    rate, and stands for the concatenation of those slices. Returns one
+    FeatureMatrix per output, each equal bit for bit to
+    fbank(Waveform(np.concatenate(slices))), without building any output.
+
+    A frame's log-Mel row depends only on its win samples and, through
+    pre-emphasis, the sample before them; frame 0 has none. So output
+    frame j takes row i of fbank(source) when its samples and the one
+    before lie inside one piece, the piece's offset into the source
+    minus its offset in the output is a multiple of the hop (then i is j
+    plus that difference in hops), and j == 0 exactly when the frame
+    starts at source sample 0. Each source that lends a row is featurized
+    once, whole. Every other frame is a boundary frame, framed from the
+    pieces: a run of at least MIN_SHARED_ROWS consecutive ones (a piece
+    off the hop grid) takes an FFT and Mel pass of its own, and all the
+    shorter runs share one pass, padded to MIN_SHARED_ROWS rows. An
+    output of fewer frames than that is featurized whole, as fbank itself
+    would.
+    """
+    sr = sources[0].sample_rate_hz
+    if any(s.sample_rate_hz != sr for s in sources):
+        raise InvalidConfigError("fbank_pieces needs sources of one sample rate")
+    plans = []  # per output: its pieces with output offsets, length, frame count, lent spans
+    for pieces in outputs:
+        placed, o = [], 0
+        for s, a, b in pieces:
+            if not 0 <= a <= b <= len(sources[s]):
+                raise InvalidConfigError(f"piece [{a}, {b}) lies outside source {s} of {len(sources[s])} samples")
+            placed.append((s, a, b, o))
+            o += b - a
+        win, hop = _frame_geometry(sr, o)
+        n_frames = 1 + (o - win) // hop
+        spans = []  # (first j, end j, source, row of the first j)
+        for s, a, b, start in placed:
+            if n_frames < MIN_SHARED_ROWS or (a - start) % hop or len(sources[s]) < win + (MIN_SHARED_ROWS - 1) * hop:
+                continue
+            j_lo = 0 if start == a == 0 else -(-(start + 1) // hop)
+            j_hi = (start + b - a - win) // hop + 1
+            if j_lo < j_hi:
+                spans.append((j_lo, j_hi, s, j_lo + (a - start) // hop))
+        plans.append((placed, o, n_frames, spans))
+
+    blocks = []  # row blocks, concatenated at the end
+
+    def place(rows):
+        """Append a block of rows; their indices in the concatenation."""
+        start = sum(len(r) for r in blocks)
+        blocks.append(rows)
+        return np.arange(start, start + len(rows))
+
+    lent = {s: place(fbank(sources[s]).values)[0] for s in sorted({s for *_, spans in plans for _, _, s, _ in spans})}
+    picks, short = [], []  # short: (pick, run, frames) of each run below MIN_SHARED_ROWS
+    for placed, length, n_frames, spans in plans:
+        pick = np.empty(n_frames, dtype=np.intp)
+        picks.append(pick)
+        if n_frames < MIN_SHARED_ROWS:  # fbank of it takes the small-product path
+            pick[:] = place(fbank(Waveform(_concat(sources, placed, 0, length), sr)).values)
+            continue
+        todo = np.ones(n_frames, dtype=bool)
+        for j_lo, j_hi, s, i_lo in spans:
+            pick[j_lo:j_hi] = np.arange(lent[s] + i_lo, lent[s] + i_lo + j_hi - j_lo)
+            todo[j_lo:j_hi] = False
+        todo = np.flatnonzero(todo)
+        for run in np.split(todo, np.flatnonzero(np.diff(todo) > 1) + 1) if len(todo) else ():
+            lo = max(run[0] - 1, 0) * hop  # one frame early, for the sample before frame run[0]
+            view = _framed(_concat(sources, placed, lo, run[-1] * hop + win), win, hop)
+            view = view[1:] if run[0] else view
+            if len(run) >= MIN_SHARED_ROWS:
+                pick[run] = place(_log_mel(view, sr))
+            else:
+                short.append((pick, run, view))
+    if short:
+        n = sum(len(run) for _, run, _ in short)
+        pad = np.zeros((max(MIN_SHARED_ROWS - n, 0), win))
+        at = place(_log_mel(np.concatenate([view for *_, view in short] + [pad]), sr))
+        for pick, run, _ in short:
+            pick[run], at = at[: len(run)], at[len(run) :]
+    rows = np.concatenate(blocks)
+    return [FeatureMatrix(rows[pick]) for pick in picks]
+
+
+def _concat(sources, placed, lo: int, hi: int) -> np.ndarray:
+    """Samples lo..hi of the concatenation of the placed pieces."""
+    return np.concatenate([sources[s].samples[a + max(lo - o, 0) : a + min(hi - o, b - a)]
+                           for s, a, b, o in placed if o < hi and lo < o + b - a])
 
 
 def cmn(f: FeatureMatrix) -> FeatureMatrix:

@@ -13,8 +13,7 @@ siblings and moves them into place only once all of them are complete; a
 failure removes the temporaries and the directories it created. map_wavs
 writes one or several WAV dataset directories (`<utt_id>.wav` per record
 plus `manifest.tsv` in each), and any further files its caller names,
-through one staged block, and can run a further step on each waveform as
-written, in the same worker.
+through one staged block.
 """
 
 import errno
@@ -56,6 +55,15 @@ def _check_field(value: str, name: str) -> str:
     return value
 
 
+def refuse_directories(*paths) -> None:
+    """Raise IsADirectoryError for the first path that is an existing
+    directory, which staged cannot publish over. A subcommand calls it on
+    its outputs before doing any work; None entries are skipped."""
+    for p in paths:
+        if p is not None and Path(p).is_dir():
+            raise IsADirectoryError(errno.EISDIR, "cannot publish over a directory", str(p))
+
+
 @contextmanager
 def staged(*paths):
     """Yield a `<path>.tmp` sibling for each path, each missing parent
@@ -69,9 +77,7 @@ def staged(*paths):
     the error propagates.
     """
     paths = [Path(p) for p in paths]
-    for p in paths:
-        if p.is_dir():
-            raise IsADirectoryError(errno.EISDIR, "cannot publish over a directory", str(p))
+    refuse_directories(*paths)
     tmps = tuple(Path(f"{p}.tmp") for p in paths)
     made = []
     try:
@@ -175,23 +181,20 @@ def map_records(records, fn, seed=None):
     return worker_map(one, records)
 
 
-def map_wavs(records, out_dir, fn, seed=None, step=lambda new, heard: new, extra=None):
+def map_wavs(records, out_dir, fn, seed=None, extra=None):
     """Write fn(rec, waveform, rng) as out_dir/<utt_id>.wav for every
-    record through map_records, plus out_dir/manifest.tsv.
+    record through map_records, plus out_dir/manifest.tsv, and return the
+    new records in input order.
 
     out_dir may instead be a list of directories: fn then yields one
-    waveform per directory, in that order, and each is written as it is
-    yielded. step(new_rec, heard) runs in the same worker right after each
-    write, where heard is the waveform as written (what read_wav gives
-    back for the file); map_wavs returns the step results in input order,
-    by default the new records, and for a list of directories one list
-    per record, in directory order. extra maps further paths to
-    write(tmp) callables, run once every record has succeeded.
+    waveform per directory, in that order, each is written as it is
+    yielded, and each record's result is the list of its new records, in
+    directory order. extra maps further paths to write(tmp) callables,
+    run once every record has succeeded.
 
     All or nothing: the WAVs, then the manifests, then the extra paths
-    are published by one staged block once every record, step included,
-    has succeeded, so a failed run adds no file or directory and removes
-    none.
+    are published by one staged block once every record has succeeded,
+    so a failed run adds no file or directory and removes none.
     """
     several = not isinstance(out_dir, (str, os.PathLike))
     out_dirs = [Path(d) for d in out_dir] if several else [Path(out_dir)]
@@ -208,14 +211,13 @@ def map_wavs(records, out_dir, fn, seed=None, step=lambda new, heard: new, extra
             done = []
             for d, out in zip(out_dirs, outs if several else [outs], strict=True):
                 path = d / f"{rec.utt_id}.wav"
-                heard = write_wav(out, tmp_of[path])
-                new = UtteranceRecord(rec.utt_id, rec.speaker_id, str(path), len(out), out.sample_rate_hz)
-                done.append((new, step(new, heard)))
+                write_wav(out, tmp_of[path])
+                done.append(UtteranceRecord(rec.utt_id, rec.speaker_id, str(path), len(out), out.sample_rate_hz))
             return done
 
         results = map_records(records, one, seed)
         for i, path in enumerate(manifests):
-            write_manifest([done[i][0] for done in results], tmp_of[path])
+            write_manifest([done[i] for done in results], tmp_of[path])
         for path, write in extra.items():
             write(tmp_of[path])
-    return [[r for _, r in done] if several else done[0][1] for done in results]
+    return results if several else [done[0] for done in results]

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from padaug.audio_io import INT16_SCALE, Waveform, read_wav, write_wav
+from padaug.audio_io import INT16_SCALE, Waveform, quantize, read_wav, write_wav
 from padaug.errors import CorruptHeaderError, InvalidConfigError, UnsupportedFormatError
 
 
@@ -163,6 +163,7 @@ def test_write_wav_matches_quantize_oracle(tmp_path_factory, samples, rate):
     assert heard.sample_rate_hz == back.sample_rate_hz == rate
     assert heard.samples.dtype == back.samples.dtype
     assert heard.samples.tobytes() == back.samples.tobytes()  # -0.0 comes back as 0.0, as from the file
+    assert quantize(samples).tobytes() == back.samples.tobytes()
 
 
 def test_write_wav_rejects_nan_before_writing(tmp_path):

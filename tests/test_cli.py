@@ -283,16 +283,17 @@ def sweep_inputs(tmp_path):
 def test_sweep_cmd(tmp_path, capsys, monkeypatch):
     argv = sweep_inputs(tmp_path)
     calls = []
+    real_fbank = padaug.features.fbank
 
     def counting_fbank(*args, **kwargs):
         calls.append(1)
-        return padaug.features.fbank(*args, **kwargs)
+        return real_fbank(*args, **kwargs)
 
-    monkeypatch.setattr(padaug.model, "fbank", counting_fbank)
+    monkeypatch.setattr(padaug.features, "fbank", counting_fbank)
     out = tmp_path / "sweep.tsv"
     rc = main(argv + ["--out", str(out)])
     assert rc == 0
-    assert len(calls) == 9 * 4  # once per padded utterance, not once per model
+    assert len(calls) == 2 * 4  # each record's chunk and noise once, not each padded utterance or model
     lines = out.read_text().splitlines()
     assert lines[0] == "system\tk_seconds\tratio\teer\tmin_dcf"
     assert len(lines) == 1 + 18
@@ -325,6 +326,30 @@ def test_sweep_refuses_a_directory_in_place_of_a_wav(tmp_path, capsys, monkeypat
     assert reads == []  # refused before any record is read, padded or embedded
     assert sorted(p.relative_to(work) for p in work.rglob("*")) == [Path("ratio3"), Path("ratio3") / f"{first}.wav"]
     assert not (tmp_path / "s.tsv").exists()
+
+
+@pytest.mark.parametrize("flag", ["sweep --out", "train --out", "train --log"])
+def test_directory_output_is_refused_before_any_work(corpus, tmp_path, capsys, monkeypatch, flag):
+    def never(*args, **kwargs):
+        raise AssertionError("called after the output was refused")
+
+    target = tmp_path / "target"
+    target.mkdir()
+    if flag == "sweep --out":
+        monkeypatch.setattr(padaug.cli, "load_model", never)
+        argv = sweep_inputs(tmp_path) + ["--out", str(target)]
+    else:
+        monkeypatch.setattr(padaug.cli, "train", never)
+        outs = {"--out": target, "--log": tmp_path / "log.tsv"} if flag == "train --out" else \
+            {"--out": tmp_path / "m.bin", "--log": target}
+        argv = ["train", "--manifest", str(corpus / "manifest.tsv"), "--steps", "3", "--seed", "1",
+                *(str(a) for kv in outs.items() for a in kv)]
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert "cannot publish over a directory" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before  # no <out>.work, checkpoint or log
+    assert not (tmp_path / "target.work").exists()
 
 
 def test_sweep_bad_p_target_builds_nothing(tmp_path, capsys):

@@ -3,7 +3,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import padaug.features
 from padaug.audio_io import Waveform
 from padaug.errors import CorruptHeaderError, InvalidConfigError, TooShortError
 from padaug.features import (
@@ -16,6 +19,7 @@ from padaug.features import (
     chunk_frames,
     cmn,
     fbank,
+    fbank_pieces,
     hz_to_mel,
     mel_filterbank,
     mel_to_hz,
@@ -137,6 +141,86 @@ def test_threads_keep_their_own_scratch(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert all(np.array_equal(g, fbank_ref(w).values) for g, w in zip(got, waves))
+
+
+HOP = round(HOP_MS * SR / 1000.0)
+WIN = round(WIN_MS * SR / 1000.0)
+
+
+@st.composite
+def spliced(draw):
+    """A source of 2800-8000 samples (16-48 frames) and up to two more,
+    shorter than a frame or as long, and 1-2 outputs of 1-5 pieces each:
+    slices that start at 0, on the hop grid or anywhere, and are empty,
+    shorter than a frame, a whole number of hops, of any length or the
+    rest of the source, each source free to be taken again. Most outputs
+    that come out shorter than a frame get the first source whole."""
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    lengths = [draw(st.integers(WIN + 15 * HOP, 8000))]
+    lengths += draw(st.lists(st.one_of(st.integers(1, WIN - 1), st.integers(WIN + 15 * HOP, 8000)), max_size=2))
+    sources = [Waveform(draw(st.sampled_from([0.0, 1e-6, 0.3, 2.0])) * rng.standard_normal(n), SR) for n in lengths]
+
+    def piece():
+        s = draw(st.integers(0, len(sources) - 1))
+        n = len(sources[s])
+        room = max(n - WIN, 0)  # starts that leave a frame, where the source has one
+        a = draw(st.one_of(st.just(0), st.integers(0, room // HOP).map(lambda i: i * HOP), st.integers(0, room)))
+        grid = st.integers(0, (n - a) // HOP).map(lambda i: i * HOP)
+        length = draw(st.one_of(st.just(0), st.integers(1, WIN - 1), grid, grid, st.integers(0, n - a), st.just(n - a)))
+        return s, a, min(n, a + length)
+
+    outputs = []
+    for _ in range(draw(st.integers(1, 2))):
+        pieces = [piece() for _ in range(draw(st.integers(1, 5)))]
+        if sum(b - a for _, a, b in pieces) < WIN and draw(st.integers(0, 3)):  # keep a quarter too short
+            pieces.insert(draw(st.integers(0, len(pieces))), (0, 0, lengths[0]))
+        outputs.append(pieces)
+    return sources, outputs
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=spliced())
+def test_fbank_pieces_equals_fbank_of_the_concatenation(case):
+    sources, outputs = case
+    joined = [Waveform(np.concatenate([sources[s].samples[a:b] for s, a, b in pieces]), SR) for pieces in outputs]
+    short = [w for w in joined if len(w) < WIN]
+    if short:
+        with pytest.raises(TooShortError) as want:
+            fbank(short[0])
+        with pytest.raises(TooShortError, match=f"^{want.value}$"):
+            fbank_pieces(sources, outputs)
+        return
+    got = fbank_pieces(sources, outputs)
+    assert len(got) == len(outputs)
+    for g, w in zip(got, joined):
+        assert g.values.dtype == np.float64
+        assert np.array_equal(g.values, fbank(w).values)
+
+
+@pytest.mark.parametrize("n_boundary", range(1, 16))
+def test_fbank_pieces_computes_each_distinct_frame_once(monkeypatch, n_boundary):
+    # The first piece lends its 48 rows. The second sits 5 samples off the
+    # hop grid, so every frame that reaches it is a boundary frame.
+    src = noisy(SR, 8000, seed=n_boundary)
+    tail = n_boundary * HOP - 80
+    outputs = [[(0, 0, 8000), (0, 5, 5 + tail)], [(0, 0, 8000)]]
+    products = []
+    real = padaug.features._log_mel
+    monkeypatch.setattr(padaug.features, "_log_mel", lambda view, sr: (products.append(len(view)), real(view, sr))[1])
+    got = fbank_pieces([src], outputs)
+    assert products == [48, 16]  # the source whole, then the boundary frames padded to 16 rows
+    assert got[0].frames == 48 + n_boundary
+    monkeypatch.undo()
+    assert np.array_equal(got[0].values, fbank(Waveform(np.concatenate([src.samples, src.samples[5:5 + tail]]), SR)).values)
+    assert np.array_equal(got[1].values, fbank(src).values)
+
+
+def test_fbank_pieces_rejects_bad_pieces():
+    src = noisy(SR, 1000)
+    with pytest.raises(InvalidConfigError):
+        fbank_pieces([src], [[(0, 600, 1001)]])
+    with pytest.raises(InvalidConfigError):
+        fbank_pieces([src, noisy(8000, 1000)], [[(0, 0, 1000)]])
 
 
 def test_three_seconds_gives_298_frames():

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from padaug.audio_io import Waveform, read_wav, write_wav
+from padaug.audio_io import Waveform, write_wav
 from padaug.errors import CorruptHeaderError, InvalidConfigError
 from padaug.features import FeatureMatrix, write_feature_dump
 from padaug.manifest import UtteranceRecord, check_utt_id, map_records, map_wavs, read_manifest, staged, write_manifest
@@ -123,28 +123,20 @@ def _off_grid(rec, w, rng):
     return Waveform(1.7 * w.samples + 1e-3 * rng.standard_normal(len(w)), w.sample_rate_hz)
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_map_wavs_step_sees_the_waveform_as_written(tmp_path, monkeypatch, threads):
-    monkeypatch.setenv("PADAUG_THREADS", threads)
-    records = _noisy_inputs(tmp_path)
-    plain = map_wavs(records, tmp_path / "plain", _off_grid, seed=3)
-    heard = map_wavs(records, tmp_path / "out", _off_grid, seed=3, step=lambda rec, w: (rec, w))
-    new = [rec for rec, _ in heard]
-    assert [(r.utt_id, r.num_samples) for r in new] == [(r.utt_id, r.num_samples) for r in plain]
-    assert read_manifest(tmp_path / "out" / "manifest.tsv") == new  # the new records, not the input ones
-    for rec, w in heard:
-        back = read_wav(rec.wav_path)
-        assert w.sample_rate_hz == back.sample_rate_hz
-        assert w.samples.tobytes() == back.samples.tobytes()
-        assert back.samples.tobytes() == read_wav(tmp_path / "plain" / f"{rec.utt_id}.wav").samples.tobytes()
-
-
-def test_map_wavs_returns_the_step_results(tmp_path):
+def test_map_wavs_returns_the_new_records(tmp_path):
     records = _noisy_inputs(tmp_path)[::-1]
     plain = map_wavs(records, tmp_path / "plain", _off_grid, seed=3)
-    assert plain == read_manifest(tmp_path / "plain" / "manifest.tsv")  # no step: the new records
-    ids = map_wavs(records, tmp_path / "ids", _off_grid, seed=3, step=lambda new, heard: (new.utt_id, len(heard)))
-    assert ids == [(r.utt_id, r.num_samples) for r in records]  # only the step results, in input order
+    assert plain == read_manifest(tmp_path / "plain" / "manifest.tsv")  # the new records, in input order
+    assert [(r.utt_id, r.num_samples) for r in plain] == [(r.utt_id, r.num_samples) for r in records]
+
+    def twice(rec, w, rng):
+        yield _off_grid(rec, w, rng)
+        yield w
+
+    both = map_wavs(records, [tmp_path / "a", tmp_path / "b"], twice, seed=3)
+    assert both == [list(pair) for pair in zip(read_manifest(tmp_path / "a" / "manifest.tsv"),
+                                               read_manifest(tmp_path / "b" / "manifest.tsv"))]
+    assert (tmp_path / "a" / "u0.wav").read_bytes() == (tmp_path / "plain" / "u0.wav").read_bytes()
 
 
 def test_map_wavs_nan_sample_publishes_nothing(tmp_path):

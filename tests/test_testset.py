@@ -327,10 +327,12 @@ def test_ratio_sweep_draws_afresh_when_the_state_differs(tmp_path, monkeypatch, 
         states = states_before_noise(w, utt, 11)
         assert (states.count(states[0]) == len(states)) == (utt == "u0")
     models = [init_model(ToyModelConfig(n_speakers=1, hidden_dim=8, embed_dim=4, seed=0))]
-    ratio_sweep(records, models, tmp_path / "new", 11, "per-layout")
-    for k in range(MAX_RATIO_SECONDS + 1):
-        build_testset(records, tmp_path / "ref" / f"ratio{k}", 11, k, "per-layout")
+    got = ratio_sweep(records, models, tmp_path / "new", 11, "per-layout")
+    want = list(ratio_sweep_ref(records, models, tmp_path / "ref", 11, "per-layout"))
     assert tree(tmp_path / "new") == tree(tmp_path / "ref")
+    # the redrawn noise is a source of its own, and its frames are featurized from it
+    assert [k for k, _ in got] == [k for k, _ in want]
+    assert all(np.array_equal(e, r) for (_, embs), (_, ref) in zip(got, want) for e, r in zip(embs, ref, strict=True))
 
 
 def test_ratio_sweep_failure_leaves_no_directory(sweep_inputs, tmp_path):
