@@ -2,9 +2,11 @@
 
 Anything that is not plain 16-bit mono PCM is rejected outright rather
 than converted; augmentation semantics stay unambiguous that way. Samples
-are exchanged as float64 in [-1, 1] (int16 value / 32768). quantize
-gives the samples as a WAV stores them, and write_wav returns them, so a
-caller can go on with the stored samples without reading them back.
+are exchanged as float64 in [-1, 1] (int16 value / 32768); from_pcm
+and to_pcm are that mapping, the one both read_wav and write_wav use.
+quantize gives the samples as a WAV stores them, and write_wav returns
+them, so a caller can go on with the stored samples without reading them
+back.
 """
 
 import struct
@@ -80,7 +82,21 @@ def read_wav(path) -> Waveform:
     if len(payload) % 2 != 0:
         raise CorruptHeaderError(f"{path}: odd data-chunk size for 16-bit samples")
 
-    return Waveform(np.divide(np.frombuffer(payload, dtype="<i2"), INT16_SCALE), sample_rate)
+    return Waveform(from_pcm(np.frombuffer(payload, dtype="<i2")), sample_rate)
+
+
+def from_pcm(pcm: np.ndarray) -> np.ndarray:
+    """float64 samples of int16 PCM values, pcm * 2**-15: a power-of-two
+    scale is exact, so this is pcm / 32768 bit for bit. A fresh array."""
+    return np.multiply(pcm, 1.0 / INT16_SCALE, dtype=np.float64)
+
+
+def to_pcm(samples: np.ndarray) -> np.ndarray:
+    """The int16 PCM values of quantized samples (each an int16 step, as
+    quantize and from_pcm give them), exact; from_pcm inverts it. The cast
+    goes through a small buffer, so no second signal-length float array
+    is made."""
+    return np.multiply(samples, INT16_SCALE, out=np.empty(len(samples), "<i2"), casting="unsafe")
 
 
 def quantize(samples: np.ndarray) -> np.ndarray:
@@ -107,9 +123,7 @@ def write_wav(w: Waveform, path) -> Waveform:
     heard = quantize(w.samples)
     if np.isnan(heard.sum()):  # after the clamp only a NaN sample makes the sum NaN
         raise InvalidConfigError(f"{path}: sample {np.flatnonzero(np.isnan(heard))[0]} is NaN")
-    # Exact: each value is an int16 step. The cast goes through a small
-    # buffer, so no second signal-length float array is made.
-    pcm = np.multiply(heard, INT16_SCALE, out=np.empty(len(heard), "<i2"), casting="unsafe")
+    pcm = to_pcm(heard)
     with wave.open(str(path), "wb") as f:
         f.setnchannels(1)
         f.setsampwidth(2)

@@ -24,7 +24,7 @@ from .features import FeatureMatrix, cmn, fbank, read_feature_dump, write_featur
 from .manifest import map_records, map_wavs, read_manifest, refuse_directories, staged
 from .metrics import (check_costs, check_ids, check_kinds, det_metrics, format_report, read_scores, read_trials,
                       score_trials, write_scores)
-from .model import ToyModelConfig, embed_utterance, load_model, load_training_set, save_model, train
+from .model import ToyModelConfig, embed_utterance, load_model, load_training_set, meta_path, save_model, train
 from .synth import build_corpus
 from .testset import CHUNK_SECONDS, PLACEMENTS, TEST_SNR_DB, build_testset, ratio_sweep
 from .vad import VadConfig, detect, drop_silence, write_mask_dump
@@ -155,7 +155,7 @@ def _cmd_vad(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    refuse_directories(args.out, args.log)  # before any step, not after the last
+    refuse_directories(args.out, meta_path(args.out), args.log)  # before any step, not after the last
     records = read_manifest(args.manifest)
     ts = load_training_set(records)
     cfg = ToyModelConfig(
@@ -174,7 +174,7 @@ def _cmd_train(args) -> int:
         seed=args.seed,
     )
     # Built, and so validated, even when unused.
-    pad_cfg = _pad_config(args, ts.waveforms[0].sample_rate_hz, args.augment)
+    pad_cfg = _pad_config(args, ts.sample_rate_hz, args.augment)
     result = train(cfg, ts, None if args.augment == "none" else pad_cfg)
     meta = {
         "augment": args.augment,

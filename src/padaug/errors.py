@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the UTF-8 text reader
-that turns undecodable bytes into one of them."""
+"""Exception types shared across the package, the UTF-8 text reader
+that turns undecodable bytes into one of them, and naming_utterance,
+which prefixes an utterance id to an error raised for it."""
 
+from contextlib import contextmanager
 from pathlib import Path
 
 
@@ -67,3 +69,13 @@ def read_text(path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise CorruptHeaderError(f"{path}: not UTF-8 text (byte {e.start}: {e.object[e.start:e.end]!r})") from e
+
+
+@contextmanager
+def naming_utterance(utt_id: str):
+    """Re-raise a PadAugError or OSError from the block as the same type,
+    its message prefixed with `utterance <utt_id>: `."""
+    try:
+        yield
+    except (PadAugError, OSError) as e:
+        raise type(e)(f"utterance {utt_id}: {e}") from e

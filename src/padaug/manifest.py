@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .audio_io import read_wav, write_wav
-from .errors import CorruptHeaderError, InvalidConfigError, PadAugError, read_text
+from .errors import CorruptHeaderError, InvalidConfigError, naming_utterance, read_text
 from .seeding import child_seed, make_rng
 from .workers import worker_map
 
@@ -173,10 +173,8 @@ def map_records(records, fn, seed=None):
 
     def one(rec: UtteranceRecord):
         rng = None if seed is None else make_rng(child_seed(seed, rec.utt_id))
-        try:
+        with naming_utterance(rec.utt_id):
             return fn(rec, read_wav(rec.wav_path), rng)
-        except (PadAugError, OSError) as e:
-            raise type(e)(f"utterance {rec.utt_id}: {e}") from e
 
     return worker_map(one, records)
 

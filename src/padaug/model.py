@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .audio_io import Waveform, from_pcm, to_pcm
 from .augment import PadAugConfig, pad_aug_utterance
 from .errors import (
     CorruptHeaderError,
@@ -27,6 +28,7 @@ from .errors import (
     InvalidLabelError,
     TooShortError,
     UnsupportedFormatError,
+    naming_utterance,
 )
 from .features import N_MELS, FeatureMatrix, chunk_frames, cmn, fbank
 from .manifest import map_records, staged
@@ -279,12 +281,14 @@ def schedule(step: int, cfg: ToyModelConfig):
 class TrainingSet:
     utt_ids: list
     labels: np.ndarray  # int per utterance
-    waveforms: list
+    pcm: list  # per utterance, its int16 samples as the WAV stores them (1-D, 2 bytes each)
+    sample_rate_hz: int  # of every utterance
     speakers: list  # index -> speaker_id
 
 
 def load_training_set(records) -> TrainingSet:
-    """Load waveforms into memory and map speaker ids to label indices.
+    """Load the audio into memory as int16 PCM and map speaker ids to label
+    indices. Each float64 waveform lives only while its record is read.
     All waveforms must share one sample rate."""
     speakers = sorted({r.speaker_id for r in records})
     if len(speakers) < 2:
@@ -292,12 +296,13 @@ def load_training_set(records) -> TrainingSet:
     index = {s: i for i, s in enumerate(speakers)}
     utt_ids = [r.utt_id for r in records]
     labels = np.array([index[r.speaker_id] for r in records], dtype=np.int64)
-    waveforms = map_records(records, lambda rec, w, rng: w)
-    rates = {w.sample_rate_hz: r.utt_id for r, w in zip(records, waveforms)}
+    read = map_records(records, lambda rec, w, rng: (to_pcm(w.samples), w.sample_rate_hz))
+    rates = {sr: r.utt_id for r, (_, sr) in zip(records, read)}
     if len(rates) > 1:
         named = ", ".join(f"{utt!r} at {sr} Hz" for sr, utt in sorted(rates.items()))
         raise UnsupportedFormatError(f"training set mixes sample rates: {named}")
-    return TrainingSet(utt_ids=utt_ids, labels=labels, waveforms=waveforms, speakers=speakers)
+    return TrainingSet(utt_ids=utt_ids, labels=labels, pcm=[pcm for pcm, _ in read],
+                       sample_rate_hz=next(iter(rates)), speakers=speakers)
 
 
 @dataclass
@@ -311,9 +316,12 @@ def train(cfg: ToyModelConfig, ts: TrainingSet, pad_cfg: PadAugConfig | None = N
 
     With a pad_cfg each utterance passes through the padding augmentation
     (HT, or HMT when pad_cfg.use_mid) before feature extraction, fresh
-    draws every step; None trains on the unpadded waveforms. Per-utterance
+    draws every step; None trains on the unpadded waveforms. Each item
+    converts its utterance's PCM to float64 where it is used, once per
+    utterance without augmentation (the features are cached). Per-utterance
     seeds are drawn up front each step, so batch assembly may run in a
-    worker pool without changing the result.
+    worker pool without changing the result. A PadAugError or OSError
+    raised for an item names its utterance, as map_records does.
     """
     if len(ts.speakers) < 2:
         raise DatasetTooSmallError("need >= 2 speakers")
@@ -325,17 +333,21 @@ def train(cfg: ToyModelConfig, ts: TrainingSet, pad_cfg: PadAugConfig | None = N
     data_rng = make_rng(child_seed(cfg.seed, "data"))
     feature_cache: dict = {}  # full fbank per utterance, only when not augmenting
 
+    def waveform(idx):
+        return Waveform(from_pcm(ts.pcm[idx]), ts.sample_rate_hz)
+
     def batch_features(indices, seeds):
         def one(pair):
             idx, sub_seed = pair
             rng = make_rng(sub_seed)
-            if pad_cfg is None:
-                if idx not in feature_cache:
-                    feature_cache[idx] = fbank(ts.waveforms[idx])
-                feats = feature_cache[idx]
-            else:
-                feats = fbank(pad_aug_utterance(ts.waveforms[idx], pad_cfg, rng).waveform)
-            return cmn(chunk_frames(feats, cfg.chunk_len, rng))
+            with naming_utterance(ts.utt_ids[idx]):
+                if pad_cfg is None:
+                    if idx not in feature_cache:
+                        feature_cache[idx] = fbank(waveform(idx))
+                    feats = feature_cache[idx]
+                else:
+                    feats = fbank(pad_aug_utterance(waveform(idx), pad_cfg, rng).waveform)
+                return cmn(chunk_frames(feats, cfg.chunk_len, rng))
 
         return worker_map(one, zip(indices, seeds))
 
@@ -366,7 +378,12 @@ def embed_utterance(models, w) -> list:
 
 # ---------------------------------------------------------------------------
 # Checkpoint: magic, four int32 dims, float64 blocks w1 b1 w2 b2 head,
-# all little-endian, plus a text sidecar (<path>.meta) with config notes.
+# all little-endian, plus a text sidecar (meta_path(path)) with config notes.
+
+
+def meta_path(path) -> str:
+    """The checkpoint's text sidecar, `<path>.meta`."""
+    return f"{path}.meta"
 
 
 def save_model(m: ToyModel, path, meta: dict | None = None, extra: dict | None = None) -> None:
@@ -374,7 +391,7 @@ def save_model(m: ToyModel, path, meta: dict | None = None, extra: dict | None =
     into place (checkpoint first, .meta, then the paths extra maps to
     write(tmp) callables) only once all are written."""
     extra = extra or {}
-    with staged(path, f"{path}.meta", *extra) as (tmp_bin, tmp_meta, *tmps):
+    with staged(path, meta_path(path), *extra) as (tmp_bin, tmp_meta, *tmps):
         with open(tmp_bin, "wb") as f:
             f.write(CHECKPOINT_MAGIC)
             f.write(struct.pack("<iiii", m.input_dim, m.hidden_dim, m.embed_dim, m.n_speakers))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from padaug.audio_io import INT16_SCALE, Waveform, quantize, read_wav, write_wav
+from padaug.audio_io import INT16_SCALE, Waveform, from_pcm, quantize, read_wav, to_pcm, write_wav
 from padaug.errors import CorruptHeaderError, InvalidConfigError, UnsupportedFormatError
 
 
@@ -20,6 +20,15 @@ def test_roundtrip_is_exact_on_grid_values(tmp_path):
     back = read_wav(tmp_path / "a.wav")
     assert back.sample_rate_hz == 16000
     assert np.array_equal(back.samples, w.samples)
+
+
+def test_pcm_mapping_is_exact_for_every_int16_value():
+    pcm = np.arange(-32768, 32768).astype("<i2")
+    samples = from_pcm(pcm)
+    assert samples.dtype == np.float64
+    assert samples.tobytes() == (pcm / 32768.0).tobytes()
+    back = to_pcm(samples)
+    assert back.dtype == np.dtype("<i2") and back.tobytes() == pcm.tobytes()
 
 
 def test_roundtrip_quantization_error_bounded(tmp_path):

@@ -328,20 +328,21 @@ def test_sweep_refuses_a_directory_in_place_of_a_wav(tmp_path, capsys, monkeypat
     assert not (tmp_path / "s.tsv").exists()
 
 
-@pytest.mark.parametrize("flag", ["sweep --out", "train --out", "train --log"])
+@pytest.mark.parametrize("flag", ["sweep --out", "train --out", "train --out .meta", "train --log"])
 def test_directory_output_is_refused_before_any_work(corpus, tmp_path, capsys, monkeypatch, flag):
     def never(*args, **kwargs):
         raise AssertionError("called after the output was refused")
 
-    target = tmp_path / "target"
+    target = tmp_path / ("m.bin.meta" if flag == "train --out .meta" else "target")
     target.mkdir()
     if flag == "sweep --out":
         monkeypatch.setattr(padaug.cli, "load_model", never)
         argv = sweep_inputs(tmp_path) + ["--out", str(target)]
     else:
         monkeypatch.setattr(padaug.cli, "train", never)
-        outs = {"--out": target, "--log": tmp_path / "log.tsv"} if flag == "train --out" else \
-            {"--out": tmp_path / "m.bin", "--log": target}
+        outs = {"train --out": {"--out": target, "--log": tmp_path / "log.tsv"},
+                "train --out .meta": {"--out": tmp_path / "m.bin", "--log": tmp_path / "log.tsv"},
+                "train --log": {"--out": tmp_path / "m.bin", "--log": target}}[flag]
         argv = ["train", "--manifest", str(corpus / "manifest.tsv"), "--steps", "3", "--seed", "1",
                 *(str(a) for kv in outs.items() for a in kv)]
     before = sorted(tmp_path.rglob("*"))
@@ -542,6 +543,20 @@ def test_train_rejects_mixed_sample_rates(tmp_path, capsys):
                  "--augment", "ht", "--steps", "2", "--warmup-steps", "1", "--batch-size", "4", "--seed", "1"]) == 1
     err = capsys.readouterr().err
     assert "'u3' at 8000 Hz, 'u1' at 16000 Hz" in err
+    assert list(tmp_path.glob("model.bin*")) == []
+
+
+def test_train_names_the_utterance_too_short_to_featurize(tmp_path, capsys):
+    records = []
+    for i, n in enumerate((16000, 16000, 200, 16000)):
+        path = tmp_path / f"u{i}.wav"
+        write_wav(Waveform(0.1 * make_rng(i).standard_normal(n), 16000), path)
+        records.append(UtteranceRecord(f"u{i}", f"s{i % 2}", str(path), n, 16000))
+    write_manifest(records, tmp_path / "m.tsv")
+    capsys.readouterr()
+    assert main(["train", "--manifest", str(tmp_path / "m.tsv"), "--out", str(tmp_path / "model.bin"),
+                 "--steps", "2", "--warmup-steps", "1", "--batch-size", "4", "--seed", "1"]) == 1
+    assert "error: utterance u2: need at least 400 samples, got 200" in capsys.readouterr().err
     assert list(tmp_path.glob("model.bin*")) == []
 
 

@@ -3,10 +3,10 @@
 No stale imports: every name a module imports is used in that module
 (`__init__.py` is skipped, since its imports are the package's
 re-exports). One publish path: only manifest.staged creates directories
-or moves files into place. One evaluation front end, one DET curve, and
-each CLI option shared by two subcommands defined once. No public
-function or class that only tests use, and the package exports exactly
-what `__init__.py` imports."""
+or moves files into place. One home for the int16 mapping, one
+evaluation front end, one DET curve, and each CLI option shared by two
+subcommands defined once. No public function or class that only tests
+use, and the package exports exactly what `__init__.py` imports."""
 
 import ast
 from pathlib import Path
@@ -70,6 +70,16 @@ def test_only_staged_publishes():
     outside = [f"{name}:{n.lineno}" for name, tree in trees.items() for n in publish_calls(tree) if n not in inside]
     assert outside == []
     assert [name for name, tree in trees.items() if "tempfile" in set(imported_names(tree))] == []
+
+
+def test_int16_scale_lives_in_audio_io():
+    """INT16_SCALE and a literal 32768 appear only in audio_io, whose
+    from_pcm, to_pcm and quantize are the int16 <-> float64 mapping."""
+    hits = sorted({p.name for p in SRC.glob("*.py") for n in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+                   if (isinstance(n, ast.Name) and n.id == "INT16_SCALE")
+                   or (isinstance(n, ast.alias) and n.name == "INT16_SCALE")
+                   or (isinstance(n, ast.Constant) and type(n.value) in (int, float) and n.value == 32768)})
+    assert hits == ["audio_io.py"]
 
 
 def test_one_evaluation_front_end():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import padaug.model
-from padaug.audio_io import Waveform
+from padaug.audio_io import Waveform, from_pcm, quantize, read_wav, to_pcm
 from padaug.augment import PadAugConfig
 from padaug.errors import (
     CorruptHeaderError,
@@ -29,12 +29,13 @@ from padaug.model import (
     forward,
     init_model,
     load_model,
+    load_training_set,
     save_model,
     schedule,
     train,
 )
 from padaug.seeding import make_rng
-from padaug.synth import make_speaker, synth_utterance
+from padaug.synth import build_corpus, make_speaker, synth_utterance
 
 HT = PadAugConfig(t_min=16000, t_max=48000)
 
@@ -395,16 +396,28 @@ def test_config_validation():
 
 
 def tiny_training_set(n_speakers=2, n_utts=10, seconds=2.0):
-    waves, ids, labels = [], [], []
+    # synth floats are not int16 steps; quantize them as a WAV would store them
+    pcm, ids, labels = [], [], []
     for spk in range(n_speakers):
         profile = make_speaker(1000 + spk, f"s{spk}")
         for j in range(n_utts):
             rng = make_rng(spk * 100 + j)
-            waves.append(synth_utterance(profile, seconds, rng))
+            pcm.append(to_pcm(quantize(synth_utterance(profile, seconds, rng).samples)))
             ids.append(f"s{spk}_u{j}")
             labels.append(spk)
-    return TrainingSet(utt_ids=ids, labels=np.array(labels), waveforms=waves,
+    return TrainingSet(utt_ids=ids, labels=np.array(labels), pcm=pcm, sample_rate_hz=16000,
                        speakers=[f"s{i}" for i in range(n_speakers)])
+
+
+def test_load_training_set_holds_int16_pcm(tmp_path):
+    records = build_corpus(2, 3, 0.5, tmp_path, seed=4)[0]
+    ts = load_training_set(records)
+    assert ts.sample_rate_hz == 16000
+    assert [p.dtype for p in ts.pcm] == [np.dtype(np.int16)] * len(records)
+    assert all(p.ndim == 1 and p.flags.owndata for p in ts.pcm)  # no view keeps a float64 buffer alive
+    assert sum(p.nbytes for p in ts.pcm) == 2 * sum(len(p) for p in ts.pcm) == 2 * sum(r.num_samples for r in records)
+    for rec, p in zip(records, ts.pcm):
+        assert from_pcm(p).tobytes() == read_wav(rec.wav_path).samples.tobytes()
 
 
 def test_train_loss_decreases():
@@ -439,7 +452,8 @@ def test_train_augment_changes_inputs():
 
 def test_train_rejects_single_speaker():
     ts = tiny_training_set(n_speakers=2)
-    solo = TrainingSet(utt_ids=ts.utt_ids, labels=ts.labels, waveforms=ts.waveforms, speakers=["s0"])
+    solo = TrainingSet(utt_ids=ts.utt_ids, labels=ts.labels, pcm=ts.pcm, sample_rate_hz=ts.sample_rate_hz,
+                       speakers=["s0"])
     cfg = ToyModelConfig(n_speakers=2, total_steps=10, warmup_steps=1, seed=0)
     with pytest.raises(DatasetTooSmallError):
         train(cfg, solo)
